@@ -2,14 +2,18 @@
 
 Scenario files are YAML with explicit units in key names (``d_safe_m``,
 ``tick_rate_hz``); every key is validated and unknown keys are rejected so a
-typo cannot silently fall back to a default. All embedded defaults can be
-inspected with ``crossnav check --print-effective``.
+typo cannot silently fall back to a default. ``_SCHEMA`` lists the keys of
+each section and the config dataclass each one fills. The defaults live on
+those dataclasses (and on ``sim.default_rig``), not here: a key a file omits
+is never passed. ``crossnav check --print-effective`` prints every resolved
+value.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import inspect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,7 +26,7 @@ import yaml
 from .arbiter import ArbiterConfig
 from .human_branch import HumanSafetyParams
 from .planner import ApfParams
-from .sentinel import RoiSpec, SentinelConfig
+from .sentinel import RoiOutOfBounds, RoiSpec, SentinelConfig
 from .sim import (
     Condition,
     ConfigError,
@@ -32,9 +36,10 @@ from .sim import (
     SensorRig,
     SimParams,
     TerminationStatus,
+    default_rig,
     run_episode,
 )
-from .world import CameraIntrinsics, Obstacle, ObstacleKind, ObstacleShape, Scene
+from .world import Obstacle, ObstacleKind, ObstacleShape, Scene
 
 
 class ParseError(Exception):
@@ -80,357 +85,219 @@ def _check_keys(mapping: dict, allowed: Sequence[str], path: str) -> None:
         raise ParseError(f"unknown key {path}.{unknown[0]}")
 
 
-def _number(mapping: dict, key: str, default, path: str) -> float:
-    value = mapping.get(key, default)
-    if value is None and default is None:
-        raise ValidationError(f"{path}.{key} is required")
+# Each section lists, per constructor it fills, the keys it accepts. A key
+# names its parameter directly or with a unit suffix (``d0_m`` -> ``d0``,
+# ``tick_rate_hz`` -> ``tick_rate``); a ``_deg`` key fills the ``_rad``
+# parameter of the same stem, converted. Only the keys a file sets are passed,
+# so every default lives on its dataclass (or on ``default_rig``) alone.
+_SCHEMA = {
+    "scene": {
+        Scene: "obstacles start_robot_pose goal_m corridor_min_m corridor_max_m"
+        " leash_length_m chest_height_m body_radius_m head_height_m",
+    },
+    "sensors": {
+        default_rig: "image_width_px image_height_px hfov_deg chest_hfov_deg max_range_m",
+        SensorRig: "robot_mount_xyz_m robot_mount_pitch_deg chest_forward_m bend_pitch_deg",
+        SimParams: "depth_sigma_m",
+    },
+    "planner": {
+        ApfParams: "k_att k_rep d0_m v_max_mps w_max_radps admittance_gain yaw_gain smoothing_alpha",
+    },
+    "costmap": {PerceptionSpec: "origin_m resolution_m width_cells height_cells r_inf_m z_band_m"},
+    "safety": {
+        HumanSafetyParams: "corridor_half_width_m z_band_m d_safe_m d_brake_m v_evade_mps w_evade_radps"
+        " release_hysteresis_m recovery_duration_s brake_hold_s brake_signal_mps max_evade_turn_rad",
+    },
+    "arbiter": {ArbiterConfig: "epsilon_mps staleness_timeout_s tick_rate_hz char_length_m"},
+    "sentinel": {SentinelConfig: "d_crit_m debounce_s roi", EpisodeConfig: "enabled"},
+    "sim": {
+        SimParams: "dt_s timeout_s goal_tolerance_m exec_min_command stall_window_s stall_grace_s"
+        " planner_rate_hz chest_rate_hz follower_gain_hz human_speed_cap_mps robot_radius_m"
+        " robot_height_m collision_debounce_s walker_rate_hz walker_speed_mps"
+        " walker_heading_sigma_rad costmap_memory_s",
+    },
+    "episode": {EpisodeConfig: "jitter_xy_m bend_window_s"},
+}
+
+# Keys that the suffix rule does not map; a tuple splits a pair over two fields.
+_RENAMED = {
+    "scene.start_robot_pose": "start_robot",
+    "costmap.origin_m": "origin_xy",
+    "costmap.z_band_m": ("z_band_low_m", "z_band_high_m"),
+    "safety.z_band_m": ("z_low", "z_high"),
+    "sentinel.enabled": "sentinel_enabled",
+}
+
+# Keys holding a list of numbers, and its length. Every other key but those
+# in ``_READERS`` holds a scalar of its default's type.
+_VECTORS = {
+    "scene.start_robot_pose": 3,
+    "scene.goal_m": 2,
+    "scene.corridor_min_m": 2,
+    "scene.corridor_max_m": 2,
+    "sensors.robot_mount_xyz_m": 3,
+    "costmap.origin_m": 2,
+    "costmap.z_band_m": 2,
+    "safety.z_band_m": 2,
+    "episode.bend_window_s": 2,
+}
+
+_TOP_KEYS = ("name", *_SCHEMA)
+
+
+def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{path}.{key} must be a number")
+        raise ValidationError(f"{path} must be a number")
     return float(value)
 
 
-def _integer(mapping: dict, key: str, default, path: str) -> int:
-    value = mapping.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{path}.{key} must be an integer")
-    return int(value)
-
-
-def _vector(mapping: dict, key: str, length: int, default, path: str) -> Optional[np.ndarray]:
-    value = mapping.get(key, default)
-    if value is None:
-        return None
+def _vector(value, length: int, path: str) -> Tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or len(value) != length:
-        raise ValidationError(f"{path}.{key} must be a list of {length} numbers")
+        raise ValidationError(f"{path} must be a list of {length} numbers")
     try:
-        return np.asarray([float(v) for v in value])
+        return tuple(float(v) for v in value)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}.{key} must be numeric") from exc
+        raise ValidationError(f"{path} must be numeric") from exc
+
+
+def _obstacles(value, path: str) -> Tuple[Obstacle, ...]:
+    if not isinstance(value, list):
+        raise ParseError(f"{path} must be a list")
+    return tuple(_parse_obstacle(entry, i) for i, entry in enumerate(value))
+
+
+def _roi(value, path: str) -> RoiSpec:
+    bounds = _vector(value, 4, path)
+    try:
+        return RoiSpec(*(int(b) for b in bounds))
+    except (RoiOutOfBounds, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+_READERS = {"scene.obstacles": _obstacles, "sentinel.roi": _roi}
+
+
+def _value(value, default, path: str):
+    """Check one value a file sets against the kind of its key."""
+    if path in _READERS:
+        return _READERS[path](value, path)
+    if path in _VECTORS:
+        return _vector(value, _VECTORS[path], path)
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ValidationError(f"{path} must be a boolean")
+        return value
+    if isinstance(default, int):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValidationError(f"{path} must be an integer")
+        return value
+    return _number(value, path)
+
+
+def _field(key: str, params) -> str:
+    stem = key.rpartition("_")[0]
+    for name in (key, stem + "_rad" if key.endswith("_deg") else stem):
+        if name in params:
+            return name
+    raise KeyError(f"no parameter for scenario key {key!r}")
+
+
+def _resolve() -> Dict[str, list]:
+    """Per section: (key, constructor, parameter name or pair, its default) for each key."""
+    resolved: Dict[str, list] = {}
+    for section, rows in _SCHEMA.items():
+        for target, keys in rows.items():
+            params = inspect.signature(target).parameters
+            for key in keys.split():
+                names = _RENAMED.get(f"{section}.{key}") or _field(key, params)
+                default = params[names[0] if isinstance(names, tuple) else names].default
+                resolved.setdefault(section, []).append((key, target, names, default))
+    return resolved
+
+
+_KEYS = _resolve()
+
+
+def _read(raw: dict) -> Dict[object, dict]:
+    """Keyword arguments for each constructor in the schema, from the keys a file sets."""
+    args: Dict[object, dict] = {target: {} for rows in _SCHEMA.values() for target in rows}
+    for section, keys in _KEYS.items():
+        sec = _require_mapping(raw.get(section), section)
+        _check_keys(sec, [key for key, *_ in keys], section)
+        for key, target, names, default in keys:
+            path = f"{section}.{key}"
+            value = sec.get(key)
+            # the scene's vectors have no default
+            if value is None and default is inspect.Parameter.empty and path in _VECTORS:
+                raise ValidationError(f"{path} is required")
+            if key not in sec or (value is None and default is None):
+                continue  # unset: the default stands
+            value = _value(value, default, path)
+            if isinstance(names, tuple):
+                args[target].update(zip(names, value))
+            elif key.endswith("_deg") and names.endswith("_rad"):
+                args[target][names] = math.radians(value)
+            else:
+                args[target][names] = value
+    return args
+
+
+def _make(section: str, build, *args, **kwargs):
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, ConfigError) as exc:
+        raise ValidationError(f"{section}: {exc}") from exc
 
 
 def _parse_obstacle(entry, index: int) -> Obstacle:
     path = f"scene.obstacles[{index}]"
     entry = _require_mapping(entry, path)
     _check_keys(entry, ("id", "shape", "kind", "center_m", "half_extents_m", "radius_m", "z_span_m"), path)
-    obstacle_id = entry.get("id", f"obstacle_{index}")
     try:
         shape = ObstacleShape(entry.get("shape", "box"))
         kind = ObstacleKind(entry.get("kind", "ground"))
     except ValueError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    center = _vector(entry, "center_m", 2, None, path)
-    if center is None:
-        raise ValidationError(f"{path}.center_m is required")
-    z_span = _vector(entry, "z_span_m", 2, None, path)
-    if z_span is None:
-        raise ValidationError(f"{path}.z_span_m is required")
-    half = _vector(entry, "half_extents_m", 2, None, path)
+    for key in ("center_m", "z_span_m"):
+        if entry.get(key) is None:
+            raise ValidationError(f"{path}.{key} is required")
+    center = _vector(entry["center_m"], 2, f"{path}.center_m")
+    z_span = _vector(entry["z_span_m"], 2, f"{path}.z_span_m")
+    half = entry.get("half_extents_m")
     radius = entry.get("radius_m")
-    try:
-        return Obstacle(
-            obstacle_id=str(obstacle_id),
-            shape=shape,
-            center=center,
-            z_min=float(z_span[0]),
-            z_max=float(z_span[1]),
-            kind=kind,
-            half_extents=half,
-            radius=float(radius) if radius is not None else None,
-        )
-    except ValueError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-
-
-def _parse_scene(raw: dict) -> Scene:
-    path = "scene"
-    sec = _require_mapping(raw.get("scene"), path)
-    if not sec:
-        raise ValidationError("scene section is required")
-    _check_keys(
-        sec,
-        (
-            "corridor_min_m",
-            "corridor_max_m",
-            "start_robot_pose",
-            "goal_m",
-            "leash_length_m",
-            "chest_height_m",
-            "body_radius_m",
-            "head_height_m",
-            "obstacles",
-        ),
+    return _make(
         path,
+        Obstacle,
+        obstacle_id=str(entry.get("id", f"obstacle_{index}")),
+        shape=shape,
+        center=center,
+        z_min=z_span[0],
+        z_max=z_span[1],
+        kind=kind,
+        half_extents=None if half is None else _vector(half, 2, f"{path}.half_extents_m"),
+        radius=None if radius is None else _number(radius, f"{path}.radius_m"),
     )
-    obstacles_raw = sec.get("obstacles", [])
-    if not isinstance(obstacles_raw, list):
-        raise ParseError("scene.obstacles must be a list")
-    obstacles = tuple(_parse_obstacle(entry, i) for i, entry in enumerate(obstacles_raw))
-    start = _vector(sec, "start_robot_pose", 3, None, path)
-    goal = _vector(sec, "goal_m", 2, None, path)
-    lo = _vector(sec, "corridor_min_m", 2, None, path)
-    hi = _vector(sec, "corridor_max_m", 2, None, path)
-    for name, v in (("start_robot_pose", start), ("goal_m", goal), ("corridor_min_m", lo), ("corridor_max_m", hi)):
-        if v is None:
-            raise ValidationError(f"scene.{name} is required")
-    try:
-        return Scene(
-            obstacles=obstacles,
-            start_robot=start,
-            goal=goal,
-            corridor_min=lo,
-            corridor_max=hi,
-            leash_length_m=_number(sec, "leash_length_m", 1.0, path),
-            chest_height_m=_number(sec, "chest_height_m", 1.30, path),
-            body_radius_m=_number(sec, "body_radius_m", 0.18, path),
-            head_height_m=_number(sec, "head_height_m", 1.75, path),
-        )
-    except ValueError as exc:
-        raise ValidationError(f"scene: {exc}") from exc
-
-
-def _parse_sensors(raw: dict) -> Tuple[SensorRig, float]:
-    path = "sensors"
-    sec = _require_mapping(raw.get("sensors"), path)
-    _check_keys(
-        sec,
-        (
-            "image_width_px",
-            "image_height_px",
-            "hfov_deg",
-            "chest_hfov_deg",
-            "max_range_m",
-            "robot_mount_xyz_m",
-            "robot_mount_pitch_deg",
-            "chest_forward_m",
-            "bend_pitch_deg",
-            "depth_sigma_m",
-        ),
-        path,
-    )
-    width = _integer(sec, "image_width_px", 160, path)
-    height = _integer(sec, "image_height_px", 120, path)
-    hfov = _number(sec, "hfov_deg", 60.0, path)
-    chest_hfov = _number(sec, "chest_hfov_deg", 75.0, path)
-    max_range = _number(sec, "max_range_m", 5.0, path)
-    try:
-        intr = CameraIntrinsics.from_fov(width, height, hfov, max_range)
-        rig = SensorRig(
-            robot_intrinsics=intr,
-            chest_intrinsics=CameraIntrinsics.from_fov(width, height, chest_hfov, max_range),
-            robot_mount_xyz=_vector(sec, "robot_mount_xyz_m", 3, [0.25, 0.0, 0.35], path),
-            robot_mount_pitch_rad=math.radians(_number(sec, "robot_mount_pitch_deg", 0.0, path)),
-            chest_forward_m=_number(sec, "chest_forward_m", 0.05, path),
-            bend_pitch_rad=math.radians(_number(sec, "bend_pitch_deg", 55.0, path)),
-        )
-    except ValueError as exc:
-        raise ValidationError(f"sensors: {exc}") from exc
-    return rig, _number(sec, "depth_sigma_m", 0.0, path)
-
-
-def _parse_planner(raw: dict) -> ApfParams:
-    path = "planner"
-    sec = _require_mapping(raw.get("planner"), path)
-    _check_keys(
-        sec,
-        ("k_att", "k_rep", "d0_m", "v_max_mps", "w_max_radps", "admittance_gain", "yaw_gain", "smoothing_alpha"),
-        path,
-    )
-    try:
-        return ApfParams(
-            k_att=_number(sec, "k_att", 1.0, path),
-            k_rep=_number(sec, "k_rep", 0.05, path),
-            d0=_number(sec, "d0_m", 1.0, path),
-            v_max=_number(sec, "v_max_mps", 0.6, path),
-            w_max=_number(sec, "w_max_radps", 1.2, path),
-            admittance_gain=_number(sec, "admittance_gain", 0.5, path),
-            yaw_gain=_number(sec, "yaw_gain", 1.5, path),
-            smoothing_alpha=_number(sec, "smoothing_alpha", 0.3, path),
-        )
-    except ValueError as exc:
-        raise ValidationError(f"planner: {exc}") from exc
-
-
-def _parse_costmap(raw: dict) -> PerceptionSpec:
-    path = "costmap"
-    sec = _require_mapping(raw.get("costmap"), path)
-    _check_keys(
-        sec,
-        ("origin_m", "resolution_m", "width_cells", "height_cells", "r_inf_m", "z_band_m"),
-        path,
-    )
-    z_band = _vector(sec, "z_band_m", 2, [0.02, 0.50], path)
-    try:
-        return PerceptionSpec(
-            origin_xy=_vector(sec, "origin_m", 2, [-1.0, -2.5], path),
-            resolution_m=_number(sec, "resolution_m", 0.05, path),
-            width=_integer(sec, "width_cells", 100, path),
-            height=_integer(sec, "height_cells", 100, path),
-            r_inf_m=_number(sec, "r_inf_m", 0.35, path),
-            z_band_low_m=float(z_band[0]),
-            z_band_high_m=float(z_band[1]),
-        )
-    except ConfigError as exc:
-        raise ValidationError(f"costmap: {exc}") from exc
-
-
-def _parse_safety(raw: dict) -> HumanSafetyParams:
-    path = "safety"
-    sec = _require_mapping(raw.get("safety"), path)
-    _check_keys(
-        sec,
-        (
-            "corridor_half_width_m",
-            "z_band_m",
-            "d_safe_m",
-            "d_brake_m",
-            "v_evade_mps",
-            "w_evade_radps",
-            "release_hysteresis_m",
-            "recovery_duration_s",
-            "brake_hold_s",
-            "brake_signal_mps",
-            "max_evade_turn_rad",
-        ),
-        path,
-    )
-    z_band = _vector(sec, "z_band_m", 2, [0.30, 1.90], path)
-    try:
-        return HumanSafetyParams(
-            corridor_half_width=_number(sec, "corridor_half_width_m", 0.35, path),
-            z_low=float(z_band[0]),
-            z_high=float(z_band[1]),
-            d_safe=_number(sec, "d_safe_m", 1.2, path),
-            d_brake=_number(sec, "d_brake_m", 0.5, path),
-            v_evade=_number(sec, "v_evade_mps", 0.3, path),
-            w_evade=_number(sec, "w_evade_radps", 0.9, path),
-            release_hysteresis=_number(sec, "release_hysteresis_m", 0.2, path),
-            recovery_duration=_number(sec, "recovery_duration_s", 1.0, path),
-            brake_hold=_number(sec, "brake_hold_s", 0.6, path),
-            brake_signal=_number(sec, "brake_signal_mps", 0.02, path),
-            max_evade_turn=_number(sec, "max_evade_turn_rad", 1.2, path),
-        )
-    except ValueError as exc:
-        raise ValidationError(f"safety: {exc}") from exc
-
-
-def _parse_arbiter(raw: dict) -> ArbiterConfig:
-    path = "arbiter"
-    sec = _require_mapping(raw.get("arbiter"), path)
-    _check_keys(sec, ("epsilon_mps", "staleness_timeout_s", "tick_rate_hz", "char_length_m"), path)
-    try:
-        return ArbiterConfig(
-            epsilon=_number(sec, "epsilon_mps", 0.01, path),
-            staleness_timeout=_number(sec, "staleness_timeout_s", 0.5, path),
-            tick_rate=_number(sec, "tick_rate_hz", 20.0, path),
-            char_length=_number(sec, "char_length_m", 0.5, path),
-        )
-    except ValueError as exc:
-        raise ValidationError(f"arbiter: {exc}") from exc
-
-
-def _parse_sentinel(raw: dict) -> Tuple[SentinelConfig, bool]:
-    path = "sentinel"
-    sec = _require_mapping(raw.get("sentinel"), path)
-    _check_keys(sec, ("enabled", "d_crit_m", "debounce_s", "roi"), path)
-    enabled = sec.get("enabled", True)
-    if not isinstance(enabled, bool):
-        raise ValidationError("sentinel.enabled must be a boolean")
-    roi = None
-    if sec.get("roi") is not None:
-        bounds = _vector(sec, "roi", 4, None, path)
-        try:
-            roi = RoiSpec(int(bounds[0]), int(bounds[1]), int(bounds[2]), int(bounds[3]))
-        except Exception as exc:
-            raise ValidationError(f"sentinel.roi: {exc}") from exc
-    try:
-        cfg = SentinelConfig(
-            d_crit=_number(sec, "d_crit_m", 1.2, path),
-            debounce=_number(sec, "debounce_s", 3.0, path),
-            roi=roi,
-        )
-    except ValueError as exc:
-        raise ValidationError(f"sentinel: {exc}") from exc
-    return cfg, enabled
-
-
-def _parse_sim(raw: dict, depth_sigma: float) -> SimParams:
-    path = "sim"
-    sec = _require_mapping(raw.get("sim"), path)
-    allowed = (
-        "dt_s",
-        "timeout_s",
-        "goal_tolerance_m",
-        "exec_min_command",
-        "stall_window_s",
-        "stall_grace_s",
-        "planner_rate_hz",
-        "chest_rate_hz",
-        "follower_gain_hz",
-        "human_speed_cap_mps",
-        "robot_radius_m",
-        "robot_height_m",
-        "collision_debounce_s",
-        "walker_rate_hz",
-        "walker_speed_mps",
-        "walker_heading_sigma_rad",
-        "costmap_memory_s",
-    )
-    _check_keys(sec, allowed, path)
-    try:
-        return SimParams(
-            dt=_number(sec, "dt_s", 0.02, path),
-            timeout_s=_number(sec, "timeout_s", 120.0, path),
-            goal_tolerance_m=_number(sec, "goal_tolerance_m", 0.2, path),
-            exec_min_command=_number(sec, "exec_min_command", 0.05, path),
-            stall_window_s=_number(sec, "stall_window_s", 2.0, path),
-            stall_grace_s=_number(sec, "stall_grace_s", 5.0, path),
-            planner_rate_hz=_number(sec, "planner_rate_hz", 10.0, path),
-            chest_rate_hz=_number(sec, "chest_rate_hz", 15.0, path),
-            follower_gain_hz=_number(sec, "follower_gain_hz", 2.0, path),
-            human_speed_cap_mps=_number(sec, "human_speed_cap_mps", 1.5, path),
-            robot_radius_m=_number(sec, "robot_radius_m", 0.25, path),
-            robot_height_m=_number(sec, "robot_height_m", 0.40, path),
-            collision_debounce_s=_number(sec, "collision_debounce_s", 1.0, path),
-            walker_rate_hz=_number(sec, "walker_rate_hz", 10.0, path),
-            walker_speed_mps=_number(sec, "walker_speed_mps", 0.5, path),
-            walker_heading_sigma_rad=_number(sec, "walker_heading_sigma_rad", 0.25, path),
-            depth_sigma_m=depth_sigma,
-            costmap_memory_s=_number(sec, "costmap_memory_s", 1.5, path),
-        )
-    except ConfigError as exc:
-        raise ValidationError(f"sim: {exc}") from exc
-
-
-_TOP_KEYS = ("name", "scene", "sensors", "planner", "costmap", "safety", "arbiter", "sentinel", "sim", "episode")
 
 
 def build_config(raw: dict, default_name: str = "scenario") -> EpisodeConfig:
     """Turn a parsed scenario mapping into a validated EpisodeConfig."""
     raw = _require_mapping(raw, "scenario")
     _check_keys(raw, _TOP_KEYS, "scenario")
-    scene = _parse_scene(raw)
-    rig, depth_sigma = _parse_sensors(raw)
-    episode = _require_mapping(raw.get("episode"), "episode")
-    _check_keys(episode, ("jitter_xy_m", "bend_window_s"), "episode")
-    bend = episode.get("bend_window_s")
-    bend_window = None
-    if bend is not None:
-        pair = _vector(episode, "bend_window_s", 2, None, "episode")
-        bend_window = (float(pair[0]), float(pair[1]))
-    sentinel_cfg, sentinel_enabled = _parse_sentinel(raw)
+    if not _require_mapping(raw.get("scene"), "scene"):
+        raise ValidationError("scene section is required")
+    args = _read(raw)
+    rig = _make("sensors", default_rig, **args[default_rig])
     config = EpisodeConfig(
-        scene=scene,
-        rig=rig,
-        perception=_parse_costmap(raw),
-        apf=_parse_planner(raw),
-        safety=_parse_safety(raw),
-        arbiter=_parse_arbiter(raw),
-        sentinel=sentinel_cfg,
-        sim=_parse_sim(raw, depth_sigma),
+        scene=_make("scene", Scene, **{"obstacles": (), **args[Scene]}),
+        rig=_make("sensors", dataclasses.replace, rig, **args[SensorRig]),
+        perception=_make("costmap", PerceptionSpec, **args[PerceptionSpec]),
+        apf=_make("planner", ApfParams, **args[ApfParams]),
+        safety=_make("safety", HumanSafetyParams, **args[HumanSafetyParams]),
+        arbiter=_make("arbiter", ArbiterConfig, **args[ArbiterConfig]),
+        sentinel=_make("sentinel", SentinelConfig, **args[SentinelConfig]),
+        sim=_make("sim", SimParams, **args[SimParams]),
         name=str(raw.get("name", default_name)),
-        sentinel_enabled=sentinel_enabled,
-        bend_window_s=bend_window,
-        jitter_xy_m=_number(episode, "jitter_xy_m", 0.0, "episode"),
+        **args[EpisodeConfig],
     )
     try:
         config.validate()

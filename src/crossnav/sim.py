@@ -103,9 +103,9 @@ class FollowerParams:
     faces the robot.
     """
 
-    leash_length_m: float = 1.0
-    gain_hz: float = 2.0
-    speed_cap_mps: float = 1.5
+    leash_length_m: float
+    gain_hz: float
+    speed_cap_mps: float
 
 
 @dataclass(frozen=True)
@@ -125,12 +125,21 @@ class SensorRig:
         )
 
 
-def default_rig() -> SensorRig:
-    intr = CameraIntrinsics.from_fov(width=160, height=120, hfov_deg=60.0, max_range=5.0)
+def default_rig(
+    image_width_px: int = 160,
+    image_height_px: int = 120,
+    hfov_deg: float = 60.0,
     # the phone camera is wider than the robot's depth module, which keeps
     # close overhead hazards inside the upward half of the image longer
-    chest = CameraIntrinsics.from_fov(width=160, height=120, hfov_deg=75.0, max_range=5.0)
-    return SensorRig(robot_intrinsics=intr, chest_intrinsics=chest)
+    chest_hfov_deg: float = 75.0,
+    max_range_m: float = 5.0,
+) -> SensorRig:
+    """Both cameras share one sensor size and range; only the fields of view differ."""
+
+    def camera(fov_deg: float) -> CameraIntrinsics:
+        return CameraIntrinsics.from_fov(image_width_px, image_height_px, fov_deg, max_range_m)
+
+    return SensorRig(robot_intrinsics=camera(hfov_deg), chest_intrinsics=camera(chest_hfov_deg))
 
 
 @dataclass(frozen=True)
@@ -303,7 +312,9 @@ def step(
         robot = state.robot_pose.copy()
         robot_vel = state.robot_vel
     else:
-        f = follower if follower is not None else FollowerParams(scene.leash_length_m)
+        f = follower if follower is not None else FollowerParams(
+            scene.leash_length_m, SimParams.follower_gain_hz, SimParams.human_speed_cap_mps
+        )
         human = human_follower(state, f, dt)
         human[:2] = _clamp_to_corridor(human[:2], scene, scene.body_radius_m)
         robot = _integrate_unicycle(state.robot_pose, v_cmd, dt)
@@ -355,26 +366,33 @@ def chest_camera_pose(
     rig: SensorRig,
     chest_height_m: float,
     stamp: float = 0.0,
+    body_from_cam: Optional[RigidTransform] = None,
 ) -> RigidTransform:
-    """World pose of the chest-mounted depth camera; bending pitches it down."""
+    """World pose of the chest-mounted depth camera; bending pitches it down.
+
+    ``body_from_cam`` is the rig's optical-to-body mount for ``bend``, built
+    from ``rig`` when not given.
+    """
     x, y, heading = human_pose
-    pitch = rig.bend_pitch_rad if bend is BendPose.BENT else 0.0
     world_from_body = RigidTransform(
         rot_z(heading), np.array([x, y, 0.0]), FrameId.PHYSICAL_HUMAN, FrameId.WORLD, stamp
     )
-    body_from_cam = _chest_mount(rig, pitch, chest_height_m)
-    return compose(world_from_body, compose(body_from_cam, optical_to_physical(FrameId.OPTICAL_HUMAN)))
+    if body_from_cam is None:
+        body_from_cam = _chest_mount(rig, bend, chest_height_m)
+    return compose(world_from_body, body_from_cam)
 
 
-def _chest_mount(rig: SensorRig, pitch: float, chest_height_m: float) -> RigidTransform:
-    # camera-physical coordinates -> ground-anchored body coordinates; the
-    # camera origin stays at chest height whether upright or bent
-    return RigidTransform(
+def _chest_mount(rig: SensorRig, bend: BendPose, chest_height_m: float) -> RigidTransform:
+    # chest optical frame -> ground-anchored body frame; the camera origin
+    # stays at chest height whether upright or bent
+    pitch = rig.bend_pitch_rad if bend is BendPose.BENT else 0.0
+    body_from_physical = RigidTransform(
         rot_y(pitch),
         np.array([rig.chest_forward_m, 0.0, chest_height_m]),
         FrameId.PHYSICAL_HUMAN,
         FrameId.PHYSICAL_HUMAN,
     )
+    return compose(body_from_physical, optical_to_physical(FrameId.OPTICAL_HUMAN))
 
 
 def robot_branch_observation(
@@ -418,14 +436,11 @@ def chest_observation(
     rng: Optional[np.random.Generator] = None,
 ) -> Tuple[DepthImage, PointCloud]:
     """Chest-view sensing: depth image and the cloud in the human body frame."""
-    pose = chest_camera_pose(human_pose, bend, rig, scene.chest_height_m, stamp)
+    body_from_cam = _chest_mount(rig, bend, scene.chest_height_m)
+    pose = chest_camera_pose(human_pose, bend, rig, scene.chest_height_m, stamp, body_from_cam)
     img = render_depth(scene, pose, rig.chest_intrinsics)
     if depth_sigma > 0 and rng is not None:
         img = apply_depth_noise(img, depth_sigma, rng)
-    pitch = rig.bend_pitch_rad if bend is BendPose.BENT else 0.0
-    body_from_cam = compose(
-        _chest_mount(rig, pitch, scene.chest_height_m), optical_to_physical(FrameId.OPTICAL_HUMAN)
-    )
     cloud = transform_points(body_from_cam, deproject(img))
     return img, cloud
 

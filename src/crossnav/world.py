@@ -86,10 +86,10 @@ class Scene:
     goal: np.ndarray  # (2,)
     corridor_min: np.ndarray  # (2,)
     corridor_max: np.ndarray  # (2,)
-    leash_length_m: float
-    chest_height_m: float
-    body_radius_m: float
-    head_height_m: float
+    leash_length_m: float = 1.0
+    chest_height_m: float = 1.30
+    body_radius_m: float = 0.18
+    head_height_m: float = 1.75
 
     def __post_init__(self):
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
@@ -152,6 +152,8 @@ class CameraIntrinsics:
         cls, width: int, height: int, hfov_deg: float, max_range: float
     ) -> "CameraIntrinsics":
         """Square-pixel pinhole from a horizontal field of view."""
+        if not 0.0 < hfov_deg < 180.0:
+            raise ValueError(f"field of view {hfov_deg} deg must lie strictly between 0 and 180")
         f = (width / 2.0) / np.tan(np.radians(hfov_deg) / 2.0)
         return cls(f, f, width / 2.0, height / 2.0, width, height, max_range)
 

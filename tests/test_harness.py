@@ -215,12 +215,169 @@ class TestSchema:
         raw["episode"] = {"bend_window_s": [2.0, 5.0]}
         assert build_config(raw).bend_window_s == (2.0, 5.0)
 
+    @pytest.mark.parametrize(
+        "section, key, length",
+        [
+            ("costmap", "origin_m", 2),
+            ("costmap", "z_band_m", 2),
+            ("safety", "z_band_m", 2),
+            ("sensors", "robot_mount_xyz_m", 3),
+        ],
+    )
+    def test_null_vector_names_the_field(self, section, key, length):
+        raw = minimal_raw()
+        raw[section] = {key: None}
+        with pytest.raises(ValidationError, match=rf"^{section}\.{key} must be a list of {length} numbers$"):
+            build_config(raw)
+
+    @pytest.mark.parametrize("section, key", [("sentinel", "roi"), ("episode", "bend_window_s")])
+    def test_null_leaves_an_optional_vector_unset(self, section, key):
+        raw = minimal_raw()
+        raw[section] = {key: None}
+        assert config_to_dict(build_config(raw)) == config_to_dict(build_config(minimal_raw()))
+
+    def test_obstacle_radius_must_be_a_number(self):
+        raw = minimal_raw()
+        raw["scene"]["obstacles"] = [
+            {"shape": "cylinder", "center_m": [1.0, 0.5], "z_span_m": [0.0, 1.0], "radius_m": [0.2]}
+        ]
+        with pytest.raises(ValidationError, match=r"scene\.obstacles\[0\]\.radius_m must be a number"):
+            build_config(raw)
+
+    @pytest.mark.parametrize("key", ["hfov_deg", "chest_hfov_deg"])
+    @pytest.mark.parametrize("degrees", [0, 180])
+    def test_degenerate_field_of_view_is_rejected(self, key, degrees):
+        raw = minimal_raw()
+        raw["sensors"] = {key: degrees}
+        with pytest.raises(ValidationError, match=r"^sensors: field of view"):
+            build_config(raw)
+
     def test_defaults_are_filled_in(self):
         cfg = build_config(minimal_raw())
         assert cfg.sim.dt == 0.02
         assert cfg.perception.r_inf_m == 0.35
         assert cfg.sentinel_enabled is True
         assert cfg.rig.robot_intrinsics.width == 160
+
+
+def _fx(width, hfov_deg):
+    return (width / 2.0) / math.tan(math.radians(hfov_deg) / 2.0)
+
+
+# Every key each section accepts, a valid value for it that differs from
+# mini.yaml's, and the leaves of config_to_dict that value must set; no other
+# leaf may change.
+EVERY_KEY = [
+    ("scene", "corridor_min_m", [-3.0, -2.5], {"scene.corridor_min": [-3.0, -2.5]}),
+    ("scene", "corridor_max_m", [7.0, 2.5], {"scene.corridor_max": [7.0, 2.5]}),
+    ("scene", "start_robot_pose", [0.0, -0.5, 0.1], {"scene.start_robot": [0.0, -0.5, 0.1]}),
+    ("scene", "goal_m", [4.0, 0.5], {"scene.goal": [4.0, 0.5]}),
+    ("scene", "leash_length_m", 1.2, {"scene.leash_length_m": 1.2}),
+    ("scene", "chest_height_m", 1.25, {"scene.chest_height_m": 1.25}),
+    ("scene", "body_radius_m", 0.2, {"scene.body_radius_m": 0.2}),
+    ("scene", "head_height_m", 1.8, {"scene.head_height_m": 1.8}),
+    ("scene", "obstacles", [], {"scene.obstacles": []}),
+    ("sensors", "image_width_px", 128, {
+        f"rig.{cam}.{leaf}": value
+        for cam, hfov in (("robot_intrinsics", 60.0), ("chest_intrinsics", 75.0))
+        for leaf, value in (("width", 128), ("cx", 64.0), ("fx", _fx(128, hfov)), ("fy", _fx(128, hfov)))
+    }),
+    ("sensors", "image_height_px", 96, {
+        f"rig.{cam}.{leaf}": value
+        for cam in ("robot_intrinsics", "chest_intrinsics")
+        for leaf, value in (("height", 96), ("cy", 48.0))
+    }),
+    ("sensors", "hfov_deg", 50.0, {f"rig.robot_intrinsics.{f}": _fx(160, 50.0) for f in ("fx", "fy")}),
+    ("sensors", "chest_hfov_deg", 70.0, {f"rig.chest_intrinsics.{f}": _fx(160, 70.0) for f in ("fx", "fy")}),
+    ("sensors", "max_range_m", 4.0, {
+        "rig.robot_intrinsics.max_range": 4.0, "rig.chest_intrinsics.max_range": 4.0,
+    }),
+    ("sensors", "robot_mount_xyz_m", [0.2, 0.0, 0.3], {"rig.robot_mount_xyz": [0.2, 0.0, 0.3]}),
+    ("sensors", "robot_mount_pitch_deg", 10.0, {"rig.robot_mount_pitch_rad": math.radians(10.0)}),
+    ("sensors", "chest_forward_m", 0.08, {"rig.chest_forward_m": 0.08}),
+    ("sensors", "bend_pitch_deg", 40.0, {"rig.bend_pitch_rad": math.radians(40.0)}),
+    ("sensors", "depth_sigma_m", 0.01, {"sim.depth_sigma_m": 0.01}),
+    ("planner", "k_att", 1.5, {"apf.k_att": 1.5}),
+    ("planner", "k_rep", 0.08, {"apf.k_rep": 0.08}),
+    ("planner", "d0_m", 0.8, {"apf.d0": 0.8}),
+    ("planner", "v_max_mps", 0.5, {"apf.v_max": 0.5}),
+    ("planner", "w_max_radps", 1.0, {"apf.w_max": 1.0}),
+    ("planner", "admittance_gain", 0.6, {"apf.admittance_gain": 0.6}),
+    ("planner", "yaw_gain", 1.2, {"apf.yaw_gain": 1.2}),
+    ("planner", "smoothing_alpha", 0.5, {"apf.smoothing_alpha": 0.5}),
+    ("costmap", "origin_m", [-1.5, -2.0], {"perception.origin_xy": [-1.5, -2.0]}),
+    ("costmap", "resolution_m", 0.1, {"perception.resolution_m": 0.1}),
+    ("costmap", "width_cells", 80, {"perception.width": 80}),
+    ("costmap", "height_cells", 90, {"perception.height": 90}),
+    ("costmap", "r_inf_m", 0.3, {"perception.r_inf_m": 0.3}),
+    ("costmap", "z_band_m", [0.05, 0.45], {
+        "perception.z_band_low_m": 0.05, "perception.z_band_high_m": 0.45,
+    }),
+    ("safety", "corridor_half_width_m", 0.4, {"safety.corridor_half_width": 0.4}),
+    ("safety", "z_band_m", [0.4, 1.8], {"safety.z_low": 0.4, "safety.z_high": 1.8}),
+    ("safety", "d_safe_m", 1.4, {"safety.d_safe": 1.4}),
+    ("safety", "d_brake_m", 0.4, {"safety.d_brake": 0.4}),
+    ("safety", "v_evade_mps", 0.25, {"safety.v_evade": 0.25}),
+    ("safety", "w_evade_radps", 0.8, {"safety.w_evade": 0.8}),
+    ("safety", "release_hysteresis_m", 0.3, {"safety.release_hysteresis": 0.3}),
+    ("safety", "recovery_duration_s", 2.0, {"safety.recovery_duration": 2.0}),
+    ("safety", "brake_hold_s", 0.5, {"safety.brake_hold": 0.5}),
+    ("safety", "brake_signal_mps", 0.03, {"safety.brake_signal": 0.03}),
+    ("safety", "max_evade_turn_rad", 1.0, {"safety.max_evade_turn": 1.0}),
+    ("arbiter", "epsilon_mps", 0.02, {"arbiter.epsilon": 0.02}),
+    ("arbiter", "staleness_timeout_s", 0.4, {"arbiter.staleness_timeout": 0.4}),
+    ("arbiter", "tick_rate_hz", 25.0, {"arbiter.tick_rate": 25.0}),
+    ("arbiter", "char_length_m", 0.6, {"arbiter.char_length": 0.6}),
+    ("sentinel", "enabled", False, {"sentinel_enabled": False}),
+    ("sentinel", "d_crit_m", 1.0, {"sentinel.d_crit": 1.0}),
+    ("sentinel", "debounce_s", 2.0, {"sentinel.debounce": 2.0}),
+    ("sentinel", "roi", [40, 120, 60, 96], {
+        "sentinel.roi.u_min": 40, "sentinel.roi.u_max": 120,
+        "sentinel.roi.v_min": 60, "sentinel.roi.v_max": 96,
+    }),
+    ("sim", "dt_s", 0.025, {"sim.dt": 0.025}),
+    ("sim", "timeout_s", 60.0, {"sim.timeout_s": 60.0}),
+    ("sim", "goal_tolerance_m", 0.25, {"sim.goal_tolerance_m": 0.25}),
+    ("sim", "exec_min_command", 0.04, {"sim.exec_min_command": 0.04}),
+    ("sim", "stall_window_s", 3.0, {"sim.stall_window_s": 3.0}),
+    ("sim", "stall_grace_s", 6.0, {"sim.stall_grace_s": 6.0}),
+    ("sim", "planner_rate_hz", 12.0, {"sim.planner_rate_hz": 12.0}),
+    ("sim", "chest_rate_hz", 12.0, {"sim.chest_rate_hz": 12.0}),
+    ("sim", "follower_gain_hz", 2.5, {"sim.follower_gain_hz": 2.5}),
+    ("sim", "human_speed_cap_mps", 1.2, {"sim.human_speed_cap_mps": 1.2}),
+    ("sim", "robot_radius_m", 0.3, {"sim.robot_radius_m": 0.3}),
+    ("sim", "robot_height_m", 0.45, {"sim.robot_height_m": 0.45}),
+    ("sim", "collision_debounce_s", 0.8, {"sim.collision_debounce_s": 0.8}),
+    ("sim", "walker_rate_hz", 8.0, {"sim.walker_rate_hz": 8.0}),
+    ("sim", "walker_speed_mps", 0.4, {"sim.walker_speed_mps": 0.4}),
+    ("sim", "walker_heading_sigma_rad", 0.3, {"sim.walker_heading_sigma_rad": 0.3}),
+    ("sim", "costmap_memory_s", 1.0, {"sim.costmap_memory_s": 1.0}),
+    ("episode", "jitter_xy_m", 0.1, {"jitter_xy_m": 0.1}),
+    ("episode", "bend_window_s", [2.0, 5.0], {"bend_window_s": [2.0, 5.0]}),
+]
+
+
+def _leaves(tree, prefix=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+class TestEveryKeySetsItsField:
+    @pytest.mark.parametrize(
+        "section, key, value, expected", EVERY_KEY, ids=[f"{s}.{k}" for s, k, _, _ in EVERY_KEY]
+    )
+    def test_key_sets_exactly_its_leaves(self, section, key, value, expected):
+        raw = yaml.safe_load(MINI.read_text())
+        before = dict(_leaves(config_to_dict(build_config(copy.deepcopy(raw)))))
+        raw.setdefault(section, {})[key] = value
+        after = dict(_leaves(config_to_dict(build_config(raw))))
+        changed = {leaf: v for leaf, v in after.items() if before.get(leaf, ...) != v}
+        assert changed.keys() == expected.keys()
+        for leaf, want in expected.items():
+            assert changed[leaf] == (pytest.approx(want) if isinstance(want, float) else want), leaf
 
 
 class TestConfigDump:

@@ -28,6 +28,7 @@ from crossnav.sim import (
     TRACE_HEADER,
     WalkerState,
     WorldState,
+    _chest_mount,
     _exec_round,
     chest_camera_pose,
     chest_observation,
@@ -259,6 +260,17 @@ class TestCameraPoses:
         # bending does not change where the camera sits
         upright = chest_camera_pose(human, BendPose.UPRIGHT, rig, 1.1)
         np.testing.assert_allclose(pose.translation, upright.translation)
+
+    @pytest.mark.parametrize("bend", list(BendPose))
+    def test_given_chest_mount_gives_the_same_pose(self, bend):
+        rig = default_rig()
+        human = np.array([0.4, -0.3, 0.7])
+        built = chest_camera_pose(human, bend, rig, 1.1, 2.0)
+        mount = _chest_mount(rig, bend, 1.1)
+        given = chest_camera_pose(human, bend, rig, 1.1, 2.0, mount)
+        assert given.rotation.tobytes() == built.rotation.tobytes()
+        assert given.translation.tobytes() == built.translation.tobytes()
+        assert (given.from_frame, given.to_frame, given.stamp) == (built.from_frame, built.to_frame, built.stamp)
 
 
 class TestRobotBranchObservation:

@@ -128,6 +128,12 @@ class TestIntrinsics:
         assert hfov == pytest.approx(75.0)
         assert intr.cx == 80.0 and intr.cy == 60.0
 
+    @pytest.mark.parametrize("hfov_deg", [0.0, -10.0, 180.0, 200.0, float("nan")])
+    def test_from_fov_rejects_degenerate_field_of_view(self, hfov_deg):
+        # 0 deg gives an infinite focal length, 180 deg a vanishing one
+        with pytest.raises(ValueError, match="field of view"):
+            CameraIntrinsics.from_fov(width=160, height=120, hfov_deg=hfov_deg, max_range=5.0)
+
     def test_rejects_bad_principal_point(self):
         with pytest.raises(ValueError):
             CameraIntrinsics(100.0, 100.0, 200.0, 60.0, 160, 120, 5.0)
