@@ -87,17 +87,6 @@ class RigidTransform:
     def identity(cls, frame: FrameId, stamp: Optional[float] = None) -> "RigidTransform":
         return cls(np.eye(3), np.zeros(3), frame, frame, stamp)
 
-    @classmethod
-    def from_parts(
-        cls,
-        rotation: np.ndarray,
-        translation,
-        from_frame: FrameId,
-        to_frame: FrameId,
-        stamp: Optional[float] = None,
-    ) -> "RigidTransform":
-        return cls(rotation, np.asarray(translation, dtype=np.float64), from_frame, to_frame, stamp)
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Map (N, 3) or (3,) coordinates from ``from_frame`` into ``to_frame``."""
         pts = np.asarray(points, dtype=np.float64)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import inspect
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -380,27 +381,24 @@ def parse_seed_range(text: str) -> Tuple[int, ...]:
     return (int(text),)
 
 
-def _run_one(args) -> EpisodeReport:
-    scenario, condition, seed, out_dir, sentinel_enabled = args
-    config = load_scenario(scenario)
-    if sentinel_enabled is not None and sentinel_enabled != config.sentinel_enabled:
-        config = dataclasses.replace(config, sentinel_enabled=sentinel_enabled)
-    return run_episode(config, condition, seed, out_dir)
-
-
 def run_sweep(spec: SweepSpec) -> List[EpisodeReport]:
-    """Execute every (condition, seed) episode; order of reports is stable."""
-    work = [
-        (spec.scenario, condition, seed, spec.out_dir, spec.sentinel_enabled)
-        for condition in spec.conditions
-        for seed in spec.seeds
-    ]
+    """Execute every (condition, seed) episode; order of reports is stable.
+
+    The scenario is loaded once per sweep. ``run_episode`` is this module's
+    global, looked up at call time, so a wrapper installed there sees every
+    episode.
+    """
+    config = load_scenario(spec.scenario)
+    if spec.sentinel_enabled is not None:
+        config = dataclasses.replace(config, sentinel_enabled=spec.sentinel_enabled)
+    conditions, seeds = zip(*itertools.product(spec.conditions, spec.seeds))
+    args = (itertools.repeat(config), conditions, seeds, itertools.repeat(spec.out_dir))
     if spec.jobs == 1:
-        return [_run_one(item) for item in work]
+        return list(map(run_episode, *args))
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-        return list(pool.map(_run_one, work))
+        return list(pool.map(run_episode, *args))
 
 
 @dataclass(frozen=True)

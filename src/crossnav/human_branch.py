@@ -253,11 +253,10 @@ class HumanBranch:
 
     def __init__(self, params: HumanSafetyParams):
         self.params = params
+        self._engaged_params = replace(params, d_safe=params.d_safe + params.release_hysteresis)
         self.state = ReactiveState()
 
     def update(self, cloud: PointCloud, now: float) -> VelocityCommand:
-        params = self.params
-        if self.state.phase is not Phase.IDLE:
-            params = replace(params, d_safe=params.d_safe + params.release_hysteresis)
-        hazard = detect_hazard(cloud, params)
+        engaged = self.state.phase is not Phase.IDLE
+        hazard = detect_hazard(cloud, self._engaged_params if engaged else self.params)
         return reactive_command(hazard, self.params, self.state, now)

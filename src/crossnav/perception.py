@@ -66,14 +66,6 @@ class Costmap2D:
         ix, iy = np.nonzero(mask)
         return self.origin + (np.stack([ix, iy], axis=1) + 0.5) * self.resolution
 
-    def to_text(self) -> str:
-        """Render the grid as rows of characters, highest y first."""
-        glyphs = {int(FREE): ".", int(OCCUPIED): "#", int(INFLATED): "+"}
-        rows = []
-        for iy in range(self.height - 1, -1, -1):
-            rows.append("".join(glyphs[int(v)] for v in self.cells[:, iy]))
-        return "\n".join(rows)
-
 
 def build_costmap(
     cloud: PointCloud,

@@ -13,18 +13,20 @@ robot-only stack (no chest view), and the full cross-view stack.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .arbiter import ArbiterConfig, ArbitrationDecision, LatestValueStore, command_norm
 from .arbiter import tick as arbiter_tick
 from .geometry import (
+    OPTICAL_PHYSICAL_PAIRS,
     FrameId,
     PointCloud,
     RigidTransform,
@@ -41,6 +43,7 @@ from .sentinel import (
     Describer,
     HazardEvent,
     ObstacleSighting,
+    RoiOutOfBounds,
     SentinelConfig,
     TemplateDescriber,
     check_trigger,
@@ -240,6 +243,11 @@ class EpisodeConfig:
                 raise ConfigError("bend_window_s must be an increasing non-negative pair")
         if self.scene.leash_length_m <= 2.0 * self.sim.robot_radius_m:
             raise ConfigError("leash_length_m must exceed the robot body length")
+        if self.sentinel.roi is not None:
+            try:
+                self.sentinel.roi.check_fits(self.rig.robot_intrinsics)
+            except RoiOutOfBounds as exc:
+                raise ConfigError(f"sentinel.roi: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -334,65 +342,56 @@ def step(
 # sensing pipelines (shared by the engine and by offline analysis)
 
 
-def _robot_mount(rig: SensorRig) -> RigidTransform:
-    # robot optical frame -> robot base frame
-    base_from_physical = RigidTransform(
-        rot_y(rig.robot_mount_pitch_rad), rig.robot_mount_xyz, FrameId.PHYSICAL_DOG, FrameId.ROBOT_BASE
-    )
-    return compose(base_from_physical, optical_to_physical(FrameId.OPTICAL_DOG))
-
-
-def robot_camera_pose(
-    robot_pose: np.ndarray,
-    rig: SensorRig,
-    stamp: float = 0.0,
-    base_from_cam: Optional[RigidTransform] = None,
+@functools.lru_cache(maxsize=16)
+def _mount(
+    optical_frame: FrameId, parent_frame: FrameId, pitch_rad: float, xyz: Tuple[float, float, float]
 ) -> RigidTransform:
-    """World pose of the robot's forward depth camera (optical frame).
+    """Static camera extrinsic: optical frame -> the frame the camera is mounted on.
 
-    ``base_from_cam`` is the rig's optical-to-base mount, built from ``rig``
-    when not given.
+    The camera's physical frame sits at ``xyz`` in ``parent_frame``, pitched
+    down by ``pitch_rad``. Mounts are rigid, so each distinct one is built
+    once and shared by every tick; its arrays are read-only.
     """
+    parent_from_physical = RigidTransform(
+        rot_y(pitch_rad), np.array(xyz), OPTICAL_PHYSICAL_PAIRS[optical_frame], parent_frame
+    )
+    mount = compose(parent_from_physical, optical_to_physical(optical_frame))
+    mount.rotation.flags.writeable = False
+    mount.translation.flags.writeable = False
+    return mount
+
+
+def _robot_mount(rig: SensorRig) -> RigidTransform:
+    """Robot optical frame -> robot base frame."""
+    return _mount(
+        FrameId.OPTICAL_DOG, FrameId.ROBOT_BASE, rig.robot_mount_pitch_rad, tuple(rig.robot_mount_xyz.tolist())
+    )
+
+
+def _chest_mount(rig: SensorRig, bend: BendPose, chest_height_m: float) -> RigidTransform:
+    """Chest optical frame -> ground-anchored body frame; bending only pitches it."""
+    pitch = rig.bend_pitch_rad if bend is BendPose.BENT else 0.0
+    return _mount(
+        FrameId.OPTICAL_HUMAN, FrameId.PHYSICAL_HUMAN, pitch, (rig.chest_forward_m, 0.0, chest_height_m)
+    )
+
+
+def robot_camera_pose(robot_pose: np.ndarray, rig: SensorRig, stamp: float = 0.0) -> RigidTransform:
+    """World pose of the robot's forward depth camera (optical frame)."""
     x, y, th = robot_pose
     world_from_base = RigidTransform(rot_z(th), np.array([x, y, 0.0]), FrameId.ROBOT_BASE, FrameId.WORLD, stamp)
-    if base_from_cam is None:
-        base_from_cam = _robot_mount(rig)
-    return compose(world_from_base, base_from_cam)
+    return compose(world_from_base, _robot_mount(rig))
 
 
 def chest_camera_pose(
-    human_pose: np.ndarray,
-    bend: BendPose,
-    rig: SensorRig,
-    chest_height_m: float,
-    stamp: float = 0.0,
-    body_from_cam: Optional[RigidTransform] = None,
+    human_pose: np.ndarray, bend: BendPose, rig: SensorRig, chest_height_m: float, stamp: float = 0.0
 ) -> RigidTransform:
-    """World pose of the chest-mounted depth camera; bending pitches it down.
-
-    ``body_from_cam`` is the rig's optical-to-body mount for ``bend``, built
-    from ``rig`` when not given.
-    """
+    """World pose of the chest-mounted depth camera; bending pitches it down."""
     x, y, heading = human_pose
     world_from_body = RigidTransform(
         rot_z(heading), np.array([x, y, 0.0]), FrameId.PHYSICAL_HUMAN, FrameId.WORLD, stamp
     )
-    if body_from_cam is None:
-        body_from_cam = _chest_mount(rig, bend, chest_height_m)
-    return compose(world_from_body, body_from_cam)
-
-
-def _chest_mount(rig: SensorRig, bend: BendPose, chest_height_m: float) -> RigidTransform:
-    # chest optical frame -> ground-anchored body frame; the camera origin
-    # stays at chest height whether upright or bent
-    pitch = rig.bend_pitch_rad if bend is BendPose.BENT else 0.0
-    body_from_physical = RigidTransform(
-        rot_y(pitch),
-        np.array([rig.chest_forward_m, 0.0, chest_height_m]),
-        FrameId.PHYSICAL_HUMAN,
-        FrameId.PHYSICAL_HUMAN,
-    )
-    return compose(body_from_physical, optical_to_physical(FrameId.OPTICAL_HUMAN))
+    return compose(world_from_body, _chest_mount(rig, bend, chest_height_m))
 
 
 def robot_branch_observation(
@@ -411,11 +410,10 @@ def robot_branch_observation(
     memory of obstacles that just left the camera cone) into the costmap
     before inflation.
     """
-    base_from_cam = _robot_mount(rig)
-    img = render_depth(scene, robot_camera_pose(robot_pose, rig, stamp, base_from_cam), rig.robot_intrinsics)
+    img = render_depth(scene, robot_camera_pose(robot_pose, rig, stamp), rig.robot_intrinsics)
     if depth_sigma > 0 and rng is not None:
         img = apply_depth_noise(img, depth_sigma, rng)
-    cloud = transform_points(base_from_cam, deproject(img))
+    cloud = transform_points(_robot_mount(rig), deproject(img))
     band = passthrough_filter(cloud, spec.z_band_low_m, spec.z_band_high_m)
     map_points = band.points
     if extra_xy is not None and extra_xy.shape[0] > 0:
@@ -436,12 +434,11 @@ def chest_observation(
     rng: Optional[np.random.Generator] = None,
 ) -> Tuple[DepthImage, PointCloud]:
     """Chest-view sensing: depth image and the cloud in the human body frame."""
-    body_from_cam = _chest_mount(rig, bend, scene.chest_height_m)
-    pose = chest_camera_pose(human_pose, bend, rig, scene.chest_height_m, stamp, body_from_cam)
+    pose = chest_camera_pose(human_pose, bend, rig, scene.chest_height_m, stamp)
     img = render_depth(scene, pose, rig.chest_intrinsics)
     if depth_sigma > 0 and rng is not None:
         img = apply_depth_noise(img, depth_sigma, rng)
-    cloud = transform_points(body_from_cam, deproject(img))
+    cloud = transform_points(_chest_mount(rig, bend, scene.chest_height_m), deproject(img))
     return img, cloud
 
 
@@ -638,8 +635,6 @@ def jitter_scene(scene: Scene, amount: float, rng: np.random.Generator) -> Scene
 # ---------------------------------------------------------------------------
 # engine
 
-_PRIORITY = {"planner": 10, "chest": 20, "arbiter": 30, "walker": 30, "physics": 40}
-
 
 class _Episode:
     def __init__(
@@ -713,49 +708,34 @@ class _Episode:
 
     # -- schedule -----------------------------------------------------------
 
-    def _tasks(self) -> Dict[str, float]:
+    def _tasks(self) -> List[Tuple[float, int, Callable[[float], None]]]:
+        """(rate Hz, priority, tick) per task; at one instant lower priorities tick first."""
         sim = self.config.sim
-        tasks = {"physics": 1.0 / sim.dt}
+        physics = (1.0 / sim.dt, 40, self._physics_tick)
         if self.condition is Condition.UNASSISTED:
-            tasks["walker"] = sim.walker_rate_hz
-        else:
-            tasks["planner"] = sim.planner_rate_hz
-            tasks["arbiter"] = self.config.arbiter.tick_rate
-            if self.condition is Condition.CROSS_VIEW:
-                tasks["chest"] = sim.chest_rate_hz
+            return [(sim.walker_rate_hz, 30, self._walker_tick), physics]
+        tasks = [
+            (sim.planner_rate_hz, 10, self._planner_tick),
+            (self.config.arbiter.tick_rate, 30, self._arbiter_tick),
+            physics,
+        ]
+        if self.condition is Condition.CROSS_VIEW:
+            tasks.append((sim.chest_rate_hz, 20, self._chest_tick))
         return tasks
 
     def run(self) -> EpisodeReport:
         self.rows.append(self._format_row(events=[]))
-        rates = self._tasks()
-        heap: List[Tuple[int, int, int, str]] = []
-        next_k = {name: 0 for name in rates}
-        seq = 0
-        for name in rates:
-            heapq.heappush(heap, (0, _PRIORITY[name], seq, name))
-            seq += 1
-        while heap and self.status is None:
-            t_ns, _, _, name = heapq.heappop(heap)
-            now = t_ns * 1e-9
-            self._dispatch(name, now)
-            next_k[name] += 1
-            k = next_k[name]
-            t_next = int(round(k * 1e9 / rates[name]))
-            heapq.heappush(heap, (t_next, _PRIORITY[name], seq, name))
-            seq += 1
+        tasks = self._tasks()
+        # (t_ns, priority, task index, ticks done); priorities are distinct,
+        # so the index never decides the order
+        heap = [(0, priority, i, 0) for i, (_, priority, _) in enumerate(tasks)]
+        heapq.heapify(heap)
+        while self.status is None:
+            t_ns, priority, i, k = heapq.heappop(heap)
+            rate, _, tick = tasks[i]
+            tick(t_ns * 1e-9)
+            heapq.heappush(heap, (int(round((k + 1) * 1e9 / rate)), priority, i, k + 1))
         return self._finish()
-
-    def _dispatch(self, name: str, now: float) -> None:
-        if name == "planner":
-            self._planner_tick(now)
-        elif name == "chest":
-            self._chest_tick(now)
-        elif name == "arbiter":
-            self._arbiter_tick(now)
-        elif name == "walker":
-            self._walker_tick(now)
-        else:
-            self._physics_tick(now)
 
     # -- tasks ---------------------------------------------------------------
 
@@ -911,9 +891,6 @@ class _Episode:
         )
 
     def _finish(self) -> EpisodeReport:
-        if self.status is None:  # defensive; the loop only exits with a status
-            self.status = TerminationStatus.TIMEOUT
-            self.end_time = self.state.time
         self.out_dir.mkdir(parents=True, exist_ok=True)
         trace_path = self.out_dir / self.trace_name
         trace_path.write_text(TRACE_HEADER + "\n" + "\n".join(self.rows) + "\n")

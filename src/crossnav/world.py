@@ -11,7 +11,7 @@ pixel whose ray can hit it, so the image is bitwise that of a full-image cast.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -115,18 +115,7 @@ class Scene:
 
     def only_kind(self, kind: ObstacleKind) -> "Scene":
         """Copy of the scene keeping only obstacles of one kind (attribution helper)."""
-        kept = tuple(ob for ob in self.obstacles if ob.kind is kind)
-        return Scene(
-            kept,
-            self.start_robot,
-            self.goal,
-            self.corridor_min,
-            self.corridor_max,
-            self.leash_length_m,
-            self.chest_height_m,
-            self.body_radius_m,
-            self.head_height_m,
-        )
+        return replace(self, obstacles=tuple(ob for ob in self.obstacles if ob.kind is kind))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,8 @@ from crossnav.harness import (
     run_sweep,
     summarize,
 )
-from crossnav.sim import Condition, EpisodeReport, TerminationStatus, run_episode
+from crossnav.sentinel import RoiSpec, SentinelConfig
+from crossnav.sim import Condition, ConfigError, EpisodeReport, TerminationStatus, run_episode
 from crossnav.world import ObstacleKind, ObstacleShape
 
 DATA = Path(__file__).parent / "data"
@@ -209,6 +210,28 @@ class TestSchema:
         cfg = build_config(raw)
         roi = cfg.sentinel.roi
         assert (roi.u_min, roi.u_max, roi.v_min, roi.v_max) == (40, 120, 60, 96)
+
+    def test_sentinel_roi_wider_than_the_image_is_rejected(self):
+        raw = minimal_raw()
+        raw["sentinel"] = {"roi": [10, 200, 2, 3]}
+        with pytest.raises(ValidationError, match=r"^sentinel\.roi: .* exceeds 160x120 image$"):
+            build_config(raw)
+
+    def test_sentinel_roi_must_fit_a_narrower_image(self):
+        raw = minimal_raw()
+        raw["sentinel"] = {"roi": [40, 120, 60, 96]}
+        raw["sensors"] = {"image_width_px": 100}
+        with pytest.raises(ValidationError, match=r"^sentinel\.roi: .* exceeds 100x120 image$"):
+            build_config(raw)
+        raw["sensors"] = {"image_width_px": 120}
+        assert build_config(raw).sentinel.roi.u_max == 120
+
+    def test_sentinel_roi_is_checked_on_configs_built_in_code(self):
+        config = dataclasses.replace(
+            build_config(minimal_raw()), sentinel=SentinelConfig(roi=RoiSpec(10, 200, 2, 3))
+        )
+        with pytest.raises(ConfigError, match=r"^sentinel\.roi: "):
+            config.validate()
 
     def test_bend_window_round_trips(self):
         raw = minimal_raw()
@@ -470,6 +493,20 @@ class TestSweep:
         (report,) = run_sweep(spec)
         assert report.announcements == 0
         assert not Path(report.trace_path).with_suffix(".announcements.txt").exists()
+
+    def test_two_jobs_match_one_job(self, tmp_path):
+        def sweep(jobs):
+            out = tmp_path / f"jobs{jobs}"
+            reports = run_sweep(SweepSpec(str(MINI), tuple(Condition), (0, 1), str(out), jobs=jobs))
+            return reports, {p.name: p.read_bytes() for p in out.iterdir()}
+
+        serial, serial_files = sweep(1)
+        parallel, parallel_files = sweep(2)
+        assert [dataclasses.replace(r, trace_path=Path(r.trace_path).name) for r in parallel] == [
+            dataclasses.replace(r, trace_path=Path(r.trace_path).name) for r in serial
+        ]
+        assert len(serial_files) == 10  # 6 traces, 4 announcement files
+        assert parallel_files == serial_files
 
     def test_summarize_means_and_stds(self):
         reports = [

@@ -1,6 +1,7 @@
 """World stepping, sensing pipelines, collision accounting, and full episodes."""
 
 import csv
+import dataclasses
 import math
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from crossnav.arbiter import ArbiterConfig
-from crossnav.geometry import FrameId
+from crossnav.geometry import FrameId, RigidTransform
 from crossnav.human_branch import HumanSafetyParams
 from crossnav.perception import nonfree_centers
 from crossnav.planner import ApfParams, CommandSource, VelocityCommand
@@ -30,6 +31,8 @@ from crossnav.sim import (
     WorldState,
     _chest_mount,
     _exec_round,
+    _mount,
+    _robot_mount,
     chest_camera_pose,
     chest_observation,
     default_rig,
@@ -261,16 +264,74 @@ class TestCameraPoses:
         upright = chest_camera_pose(human, BendPose.UPRIGHT, rig, 1.1)
         np.testing.assert_allclose(pose.translation, upright.translation)
 
-    @pytest.mark.parametrize("bend", list(BendPose))
-    def test_given_chest_mount_gives_the_same_pose(self, bend):
+
+def pose_bytes(t):
+    return t.rotation.tobytes(), t.translation.tobytes(), t.from_frame, t.to_frame, t.stamp
+
+
+@pytest.fixture
+def transforms_built(monkeypatch):
+    """Counter of RigidTransforms constructed while the test runs."""
+    count = [0]
+    original = RigidTransform.__post_init__
+
+    def counted(self):
+        count[0] += 1
+        original(self)
+
+    monkeypatch.setattr(RigidTransform, "__post_init__", counted)
+    return count
+
+
+class TestMounts:
+    """Camera mounts are static, so each distinct one is built once and shared."""
+
+    def test_a_replaced_rig_gets_a_new_mount(self):
         rig = default_rig()
-        human = np.array([0.4, -0.3, 0.7])
-        built = chest_camera_pose(human, bend, rig, 1.1, 2.0)
-        mount = _chest_mount(rig, bend, 1.1)
-        given = chest_camera_pose(human, bend, rig, 1.1, 2.0, mount)
-        assert given.rotation.tobytes() == built.rotation.tobytes()
-        assert given.translation.tobytes() == built.translation.tobytes()
-        assert (given.from_frame, given.to_frame, given.stamp) == (built.from_frame, built.to_frame, built.stamp)
+        moved = dataclasses.replace(rig, robot_mount_xyz=(0.3, 0.1, 0.4), robot_mount_pitch_rad=0.2)
+        assert _robot_mount(moved) is not _robot_mount(rig)
+        pose = robot_camera_pose(np.zeros(3), moved)
+        np.testing.assert_allclose(pose.translation, [0.3, 0.1, 0.4], atol=1e-12)
+        axis = pose.rotation @ np.array([0.0, 0.0, 1.0])
+        np.testing.assert_allclose(axis, [math.cos(0.2), 0.0, -math.sin(0.2)], atol=1e-12)
+        bent = dataclasses.replace(rig, bend_pitch_rad=0.4, chest_forward_m=0.1)
+        assert _chest_mount(bent, BendPose.BENT, 1.1) is not _chest_mount(rig, BendPose.BENT, 1.1)
+        np.testing.assert_allclose(
+            chest_camera_pose(np.zeros(3), BendPose.BENT, bent, 1.1).translation, [0.1, 0.0, 1.1], atol=1e-12
+        )
+
+    def test_negative_zero_builds_the_same_bytes(self):
+        # the cache takes -0.0 and 0.0 as one key, so whichever is built
+        # first must not matter
+        _mount.cache_clear()
+        signed = _mount(FrameId.OPTICAL_DOG, FrameId.ROBOT_BASE, -0.0, (0.25, -0.0, -0.0))
+        _mount.cache_clear()
+        plain = _mount(FrameId.OPTICAL_DOG, FrameId.ROBOT_BASE, 0.0, (0.25, 0.0, 0.0))
+        assert pose_bytes(signed) == pose_bytes(plain)
+
+    def test_the_mount_is_built_once(self):
+        rig = default_rig()
+        assert _robot_mount(rig) is _robot_mount(default_rig())
+        for bend in BendPose:
+            assert _chest_mount(rig, bend, 1.1) is _chest_mount(default_rig(), bend, 1.1)
+        # shared by every caller, so no caller may write to it
+        mount = _robot_mount(rig)
+        assert not mount.rotation.flags.writeable and not mount.translation.flags.writeable
+
+    def test_a_tick_builds_only_the_platform_pose_and_its_composition(self, transforms_built):
+        rig = default_rig()
+        scene = scene_of([box((1.5, 0.0), (0.2, 0.3)), cyl((1.5, 0.5), 0.2, (1.0, 1.4))])
+        human = np.array([-1.0, 0.0, 0.0])
+        robot_branch_observation(scene, np.zeros(3), rig, PerceptionSpec())  # warm-up
+        for bend in BendPose:
+            chest_observation(scene, human, bend, rig)
+        transforms_built[0] = 0
+        robot_branch_observation(scene, np.array([0.1, 0.0, 0.2]), rig, PerceptionSpec(), stamp=0.1)
+        assert transforms_built[0] == 2
+        for bend in BendPose:
+            transforms_built[0] = 0
+            chest_observation(scene, human, bend, rig, stamp=0.1)
+            assert transforms_built[0] == 2
 
 
 class TestRobotBranchObservation:
