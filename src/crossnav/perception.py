@@ -138,14 +138,3 @@ def inflate(costmap: Costmap2D, r_inf: float) -> Costmap2D:
 def nonfree_centers(costmap: Costmap2D) -> np.ndarray:
     """Metric centers of all Occupied and Inflated cells, as (N, 2)."""
     return costmap.cell_centers(costmap.cells != FREE)
-
-
-def costmap_to_csv(costmap: Costmap2D) -> str:
-    """CSV snapshot: header with grid metadata, then one row per y (top first)."""
-    lines = [
-        f"# origin_x_m={costmap.origin[0]:.6f} origin_y_m={costmap.origin[1]:.6f} "
-        f"resolution_m={costmap.resolution:.6f} width={costmap.width} height={costmap.height}"
-    ]
-    for iy in range(costmap.height - 1, -1, -1):
-        lines.append(",".join(str(int(v)) for v in costmap.cells[:, iy]))
-    return "\n".join(lines) + "\n"

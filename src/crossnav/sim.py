@@ -94,7 +94,6 @@ class WorldState:
     robot_vel: VelocityCommand  # executed command
     human_pose: np.ndarray  # (3,) x, y, heading
     human_bend: BendPose
-    rng_seed: int
 
 
 @dataclass(frozen=True)
@@ -334,7 +333,6 @@ def step(
         robot_vel=robot_vel,
         human_pose=human,
         human_bend=state.human_bend,
-        rng_seed=state.rng_seed,
     )
 
 
@@ -440,6 +438,52 @@ def chest_observation(
         img = apply_depth_noise(img, depth_sigma, rng)
     cloud = transform_points(_chest_mount(rig, bend, scene.chest_height_m), deproject(img))
     return img, cloud
+
+
+# Slack (meters) on both tests of the chest-scene cull. It only ever keeps
+# more obstacles; the float rounding of a hit point within the 5 m sensing
+# range is many orders of magnitude below it.
+_CULL_SLACK_M = 1e-3
+
+
+def chest_camera_in_hazard_box(rig: SensorRig, chest_height_m: float, safety: HumanSafetyParams) -> bool:
+    """Whether the chest camera sits inside the hazard box of ``corridor_scene``.
+
+    Bending only pitches the camera, so its body-frame position is
+    (chest_forward_m, 0, chest_height_m) in either posture.
+    """
+    reach = safety.d_safe + safety.release_hysteresis
+    return 0.0 < rig.chest_forward_m <= reach and safety.z_low <= chest_height_m <= safety.z_high
+
+
+def corridor_scene(scene: Scene, human_pose: np.ndarray, safety: HumanSafetyParams) -> Scene:
+    """The scene without the obstacles that cannot touch the chest branch's hazard box.
+
+    In the human body frame the box is x in (0, D], |y| <= corridor_half_width
+    and z in [z_low, z_high], with D = d_safe + release_hysteresis: every
+    point ``detect_hazard`` can report, idle or engaged. An obstacle is kept
+    when its height span meets the band and its footprint comes within the
+    box's circumradius of the box's centre, both with ``_CULL_SLACK_M``.
+
+    When the camera is inside the box (``chest_camera_in_hazard_box``) the
+    cull is exact for the hazard: anything that hides a box point lies on the
+    segment from the camera to it, which the convex box contains, so it is
+    kept. The box points of a noise-free cloud are then bitwise the same, in
+    the same order, and ``detect_hazard`` returns the same point. Returns
+    ``scene`` itself when every obstacle is kept.
+    """
+    half_reach = 0.5 * (safety.d_safe + safety.release_hysteresis)
+    x, y, heading = human_pose
+    centre = (x + half_reach * math.cos(heading), y + half_reach * math.sin(heading))
+    radius = math.hypot(half_reach, safety.corridor_half_width) + _CULL_SLACK_M
+    kept = tuple(
+        ob
+        for ob in scene.obstacles
+        if ob.z_max >= safety.z_low - _CULL_SLACK_M
+        and ob.z_min <= safety.z_high + _CULL_SLACK_M
+        and ob.footprint_distance(centre) <= radius
+    )
+    return scene if len(kept) == len(scene.obstacles) else replace(scene, obstacles=kept)
 
 
 def frustum_summary(scene: Scene, robot_pose: np.ndarray, rig: SensorRig) -> List[ObstacleSighting]:
@@ -621,6 +665,17 @@ class EpisodeReport:
         )
 
 
+def unique_cells(cells: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (N, 2) int64 array, sorted: ``np.unique(cells, axis=0)``.
+
+    Each row packs into one int64 key, ``(ix << 32) + (iy + 2**31)``, which
+    is monotone in (ix, iy) while both fit in an int32, so the sorted keys
+    unpack to the same rows in the same order, far faster than a row sort.
+    """
+    keys = np.unique((cells[:, 0] << 32) + (cells[:, 1] + 2**31))
+    return np.column_stack([keys >> 32, (keys & 0xFFFFFFFF) - 2**31])
+
+
 def jitter_scene(scene: Scene, amount: float, rng: np.random.Generator) -> Scene:
     """Shift every obstacle by an independent uniform offset in x and y."""
     if amount <= 0:
@@ -653,10 +708,13 @@ class _Episode:
         self.out_dir = Path(out_dir)
         self.trace_name = trace_name or f"{config.name}_{condition.value}_seed{seed:04d}.csv"
 
-        streams = np.random.SeedSequence(seed).spawn(3)
+        # one stream per consumer, so that the chest camera's noise draws
+        # leave the robot camera's as they are in single-view at the same seed
+        streams = np.random.SeedSequence(seed).spawn(4)
         rng_scene = np.random.default_rng(streams[0])
         self.rng_walker = np.random.default_rng(streams[1])
-        self.rng_noise = np.random.default_rng(streams[2])
+        self.rng_robot_noise = np.random.default_rng(streams[2])
+        self.rng_chest_noise = np.random.default_rng(streams[3])
 
         self.scene = jitter_scene(config.scene, config.jitter_xy_m, rng_scene)
         try:
@@ -679,7 +737,6 @@ class _Episode:
             robot_vel=self.executed,
             human_pose=np.array([human_xy[0], human_xy[1], heading]),
             human_bend=self._bend_at(0.0),
-            rng_seed=seed,
         )
 
         self.follower = FollowerParams(
@@ -693,6 +750,11 @@ class _Episode:
         self.walker = WalkerState()
         self.describer = describer if describer is not None else TemplateDescriber()
         self.roi = config.sentinel.roi or default_roi(config.rig.robot_intrinsics)
+        # the cull changes which pixels are valid, so with noise on it would
+        # change how many noise values each chest frame draws
+        self.cull_chest_scene = config.sim.depth_sigma_m == 0 and chest_camera_in_hazard_box(
+            config.rig, self.scene.chest_height_m, config.safety
+        )
 
         self.prev_apf: Optional[VelocityCommand] = None
         self.cloud_memory: List[Tuple[float, np.ndarray]] = []  # (expiry, world xy)
@@ -759,7 +821,7 @@ class _Episode:
             cfg.perception,
             stamp=now,
             depth_sigma=cfg.sim.depth_sigma_m,
-            rng=self.rng_noise,
+            rng=self.rng_robot_noise,
             extra_xy=extra,
         )
         if cfg.sim.costmap_memory_s > 0 and band.points.shape[0] > 0:
@@ -770,7 +832,7 @@ class _Episode:
                 [x + c * bxy[:, 0] - s * bxy[:, 1], y + s * bxy[:, 0] + c * bxy[:, 1]]
             )
             res = cfg.perception.resolution_m
-            cells = np.unique(np.round(wxy / res).astype(np.int64), axis=0)
+            cells = unique_cells(np.round(wxy / res).astype(np.int64))
             self.cloud_memory.append((now + cfg.sim.costmap_memory_s, cells * res))
         dx, dy = self.scene.goal[0] - x, self.scene.goal[1] - y
         goal_base = np.array([c * dx + s * dy, -s * dx + c * dy])
@@ -794,14 +856,17 @@ class _Episode:
 
     def _chest_tick(self, now: float) -> None:
         cfg = self.config
+        scene = self.scene
+        if self.cull_chest_scene:
+            scene = corridor_scene(scene, self.state.human_pose, cfg.safety)
         _, cloud = chest_observation(
-            self.scene,
+            scene,
             self.state.human_pose,
             self.state.human_bend,
             cfg.rig,
             stamp=now,
             depth_sigma=cfg.sim.depth_sigma_m,
-            rng=self.rng_noise,
+            rng=self.rng_chest_noise,
         )
         self.store.publish(self.branch.update(cloud, now))
 

@@ -302,7 +302,7 @@ def render_depth(
     camera plane. Pixels outside the window cannot hit it, the per-ray
     arithmetic is the same as a full-image cast, and the per-pixel minimum
     is order-free, so the image is bitwise that of casting every pixel
-    against every obstacle.
+    against every obstacle. When no obstacle is cast, no ray is built.
 
     ``camera_pose_world`` must map an optical frame into the world frame.
     Pixels with no hit inside (0, max_range] are NaN. Pure and deterministic.
@@ -310,7 +310,6 @@ def render_depth(
     if camera_pose_world.to_frame != FrameId.WORLD:
         raise ValueError("camera pose must map into the world frame")
     rotation = camera_pose_world.rotation
-    dirs = (pixel_directions(intr) @ rotation.T).reshape(intr.height, intr.width, 3)
     origin = camera_pose_world.translation
 
     # prune obstacles that no ray can reach: a hit at parameter t lies at
@@ -325,15 +324,19 @@ def render_depth(
         z_gap = max(ob.z_min - origin[2], origin[2] - ob.z_max, 0.0)
         return float(np.hypot(planar, z_gap)) <= reach
 
-    # dirs have unit optical-z, so the hit parameter t equals the optical depth
     t_best = np.full((intr.height, intr.width), np.inf)
     visible = [ob for ob in scene.obstacles if reachable(ob)]
+    cast = []
     if visible:
         lo, hi = _aabbs(visible)
         windows = _pixel_windows(lo, hi, origin, rotation, intr)
-        for ob, window, ob_lo, ob_hi in zip(visible, windows, lo, hi):
-            if window is None:
-                continue
+        cast = [item for item in zip(visible, windows, lo, hi) if item[1] is not None]
+    if cast:
+        # built only when some obstacle is cast, and always for the whole
+        # image, so a ray's direction has the same bits whatever is cast;
+        # dirs have unit optical-z, so the hit parameter t equals the optical depth
+        dirs = (pixel_directions(intr) @ rotation.T).reshape(intr.height, intr.width, 3)
+        for ob, window, ob_lo, ob_hi in cast:
             win_dirs = dirs[window].reshape(-1, 3)
             if ob.shape is ObstacleShape.BOX:
                 t = _raycast_boxes(origin, win_dirs, [ob_lo], [ob_hi])

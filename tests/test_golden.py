@@ -3,13 +3,15 @@
 Determinism within one process run is checked elsewhere; this pins the bytes
 across code changes. It reruns a fixed matrix of shipped scenarios,
 conditions and seeds and compares the sha256 of each trace CSV and each
-announcement file with ``tests/data/golden_digests.txt``.
+announcement file with ``tests/data/golden_digests.txt``. One more episode,
+``NOISY``, runs with depth noise on, so the noise draws are pinned too.
 
 Regenerate the file (only on purpose, and say why in CHANGES.md) with:
 
     PYTHONPATH=src python3 tests/test_golden.py --write
 """
 
+import dataclasses
 import hashlib
 import sys
 from pathlib import Path
@@ -22,17 +24,29 @@ from crossnav.sim import Condition, run_episode
 DIGESTS = Path(__file__).parent / "data" / "golden_digests.txt"
 SCENARIOS = ("canonical", "canonical_bend", "hanging_lamp")
 SEEDS = (0, 1)
+#: (scenario, condition, seed, depth noise sigma in meters) of the noisy episode
+NOISY = ("hanging_lamp", Condition.CROSS_VIEW, 0, 0.03)
 
 HEADER = """\
 # sha256 of every file run_episode writes for the scenarios
 # {canonical, canonical_bend, hanging_lamp} x conditions {unassisted,
 # singleview, crossview} x seeds {0, 1}: the trace CSV, and the
-# .announcements.txt where one is written. tests/test_golden.py checks them.
+# .announcements.txt where one is written; then the same files of one episode
+# with depth noise on (the names that carry "_sigma"). tests/test_golden.py
+# checks them.
 # The traces print floats, so a numpy or libm upgrade may change their bytes
 # without any change to crossnav; regenerate then only on purpose, with
 #   PYTHONPATH=src python3 tests/test_golden.py --write
 # and record the regeneration and its reason in CHANGES.md.
 """
+
+
+def file_digests(out_dir: Path) -> dict:
+    """Map each file name in ``out_dir`` to its sha256."""
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out_dir.iterdir())
+    }
 
 
 def episode_digests(scenario: str, out_dir: Path) -> dict:
@@ -41,10 +55,17 @@ def episode_digests(scenario: str, out_dir: Path) -> dict:
     for condition in Condition:
         for seed in SEEDS:
             run_episode(config, condition, seed, out_dir)
-    return {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(out_dir.iterdir())
-    }
+    return file_digests(out_dir)
+
+
+def noisy_digests(out_dir: Path) -> dict:
+    """Run the NOISY episode; map each written file name to its sha256."""
+    scenario, condition, seed, sigma = NOISY
+    config = load_scenario(scenario)
+    config = dataclasses.replace(config, sim=dataclasses.replace(config.sim, depth_sigma_m=sigma))
+    name = f"{scenario}_sigma{sigma}_{condition.value}_seed{seed:04d}.csv"
+    run_episode(config, condition, seed, out_dir, trace_name=name)
+    return file_digests(out_dir)
 
 
 def read_golden() -> dict:
@@ -59,6 +80,12 @@ def test_episode_outputs_match_the_golden_digests(scenario, tmp_path):
     assert episode_digests(scenario, tmp_path) == golden
 
 
+def test_a_noisy_episode_matches_its_golden_digests(tmp_path):
+    golden = {name: d for name, d in read_golden().items() if "_sigma" in name}
+    assert len(golden) == 2  # the trace and its announcements
+    assert noisy_digests(tmp_path) == golden
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     import tempfile
 
@@ -66,4 +93,6 @@ if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     for name in SCENARIOS:
         with tempfile.TemporaryDirectory() as tmp:
             rows += [f"{d}  {f}" for f, d in episode_digests(name, Path(tmp)).items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        rows += [f"{d}  {f}" for f, d in noisy_digests(Path(tmp)).items()]
     DIGESTS.write_text(HEADER + "\n".join(rows) + "\n")

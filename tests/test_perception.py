@@ -13,7 +13,6 @@ from crossnav.perception import (
     Costmap2D,
     InvalidGrid,
     build_costmap,
-    costmap_to_csv,
     inflate,
     nonfree_centers,
     passthrough_filter,
@@ -159,13 +158,3 @@ class TestCostmapViews:
         cm = grid(cells, origin=(-0.1, 0.3), res=0.2)
         centers = nonfree_centers(cm)
         np.testing.assert_allclose(centers, [[-0.1 + 0.3, 0.3 + 0.5]])
-
-    def test_csv_layout(self):
-        cells = np.zeros((2, 3), dtype=np.uint8)
-        cells[0, 2] = OCCUPIED  # x index 0, top row
-        text = costmap_to_csv(grid(cells, res=0.5))
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("# origin_x_m=")
-        assert len(lines) == 1 + 3  # one row per y, top first
-        assert lines[1] == "1,0"
-        assert lines[3] == "0,0"

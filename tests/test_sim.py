@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crossnav import sim
 from crossnav.arbiter import ArbiterConfig
 from crossnav.geometry import FrameId, RigidTransform
-from crossnav.human_branch import HumanSafetyParams
+from crossnav.human_branch import HumanSafetyParams, detect_hazard
 from crossnav.perception import nonfree_centers
 from crossnav.planner import ApfParams, CommandSource, VelocityCommand
 from crossnav.sentinel import SentinelConfig
@@ -29,12 +30,15 @@ from crossnav.sim import (
     TRACE_HEADER,
     WalkerState,
     WorldState,
+    _Episode,
     _chest_mount,
     _exec_round,
     _mount,
     _robot_mount,
     chest_camera_pose,
+    chest_camera_in_hazard_box,
     chest_observation,
+    corridor_scene,
     default_rig,
     detect_collisions,
     frustum_summary,
@@ -45,6 +49,7 @@ from crossnav.sim import (
     run_episode,
     step,
     unassisted_walker,
+    unique_cells,
 )
 from crossnav.world import Obstacle, ObstacleKind, ObstacleShape, Scene
 
@@ -79,7 +84,7 @@ def config_of(scene, name="mini", **kw):
     sim_kw.setdefault("timeout_s", 40.0)
     return EpisodeConfig(
         scene=scene,
-        rig=default_rig(),
+        rig=kw.pop("rig", default_rig()),
         perception=PerceptionSpec(),
         apf=ApfParams(),
         safety=kw.pop("safety", HumanSafetyParams(d_safe=1.2)),
@@ -98,7 +103,6 @@ def world_state(robot=(0.0, 0.0, 0.0), human=(-1.0, 0.0, 0.0)):
         robot_vel=VelocityCommand.zero(0.0, CommandSource.APF),
         human_pose=np.array(human, dtype=float),
         human_bend=BendPose.UPRIGHT,
-        rng_seed=0,
     )
 
 
@@ -729,3 +733,213 @@ class TestRunEpisode:
         # the failed description is logged as an empty line, not dropped
         side = Path(bad.trace_path).with_suffix(".announcements.txt")
         assert all(ln.endswith("\t") for ln in side.read_text().splitlines() if ln)
+
+
+def hazard_bytes(hazard):
+    """Everything a HazardInfo holds, comparable bit for bit; None stays None."""
+    if hazard is None:
+        return None
+    return hazard.nearest_point.tobytes(), hazard.distance, hazard.lateral_offset, hazard.height
+
+
+class TestCorridorCull:
+    """Dropping the obstacles that cannot touch the hazard box changes no bit of the hazard."""
+
+    @staticmethod
+    def random_case(rng):
+        """A random scene, human pose and safety params with the chest camera inside the box.
+
+        Besides four obstacles anywhere, each scene holds one probe of the
+        box's edge: a cylinder poking a few centimetres into one of its far
+        corners, where the circle test is tightest, or a slab one ulp
+        outside the band, some of whose face returns rounding puts inside.
+        """
+        chest = rng.uniform(1.0, 1.5)
+        d_safe = rng.uniform(0.8, 1.8)
+        safety = HumanSafetyParams(
+            corridor_half_width=rng.uniform(0.2, 0.6),
+            z_low=rng.uniform(0.2, chest),
+            z_high=rng.uniform(chest, 2.2),
+            d_safe=d_safe,
+            d_brake=0.5 * d_safe,
+            release_hysteresis=rng.choice([0.0, rng.uniform(0.0, 0.4)]),
+        )
+        reach = safety.d_safe + safety.release_hysteresis
+        half = safety.corridor_half_width
+        human = np.array([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-np.pi, np.pi)])
+        c, s = math.cos(human[2]), math.sin(human[2])
+
+        def world_xy(fwd, lat):
+            return human[0] + c * fwd - s * lat, human[1] + s * fwd + c * lat
+
+        if rng.uniform() < 0.5:
+            side = rng.choice([-1.0, 1.0])
+            diagonal = np.array([reach / 2.0, side * half]) / math.hypot(reach / 2.0, half)
+            radius = rng.uniform(0.05, 0.15)
+            fwd, lat = np.array([reach, side * half]) + diagonal * (radius + rng.uniform(-0.06, 0.03))
+            probe = cyl(world_xy(fwd, lat), radius, (0.0, 2.5), oid="corner")
+        else:
+            if rng.uniform() < 0.5:
+                z0 = float(np.nextafter(safety.z_high, np.inf))
+                z = (z0, z0 + rng.uniform(0.05, 0.5))
+            else:
+                z1 = float(np.nextafter(safety.z_low, -np.inf))
+                z = (max(z1 - rng.uniform(0.05, 0.5), 0.0), z1)
+            xy = world_xy(rng.uniform(0.5, reach + 0.5), rng.uniform(-half, half))
+            probe = box(xy, rng.uniform(0.1, 0.6, 2), z, oid="slab")
+        obstacles = [probe]
+        for k in range(4):
+            xy = world_xy(rng.uniform(-1.0, 4.0), rng.uniform(-2.5, 2.5))
+            z0 = rng.uniform(0.0, 2.0)
+            z = (z0, z0 + rng.uniform(0.05, 1.0))
+            if rng.uniform() < 0.5:
+                obstacles.append(box(xy, rng.uniform(0.05, 0.6, 2), z, oid=f"b{k}"))
+            else:
+                obstacles.append(cyl(xy, rng.uniform(0.05, 0.4), z, oid=f"c{k}"))
+        scene = dataclasses.replace(scene_of(obstacles), chest_height_m=chest)
+        return scene, human, safety
+
+    def test_hazard_is_bitwise_the_same(self):
+        # with the cull's slack set to 0, 8 of these 120 cases differ; with
+        # its circle 5 cm smaller, 17 do
+        rng = np.random.default_rng(7)
+        rig = default_rig()
+        culled = hazards = cases = 0
+        for case in range(120):
+            scene, human, safety = self.random_case(rng)
+            assert chest_camera_in_hazard_box(rig, scene.chest_height_m, safety)
+            engaged = dataclasses.replace(safety, d_safe=safety.d_safe + safety.release_hysteresis)
+            bend = BendPose.BENT if case % 3 == 0 else BendPose.UPRIGHT
+            kept = corridor_scene(scene, human, safety)
+            culled += len(kept.obstacles) < len(scene.obstacles)
+            _, full_cloud = chest_observation(scene, human, bend, rig)
+            _, kept_cloud = chest_observation(kept, human, bend, rig)
+            for params in (safety, engaged):
+                want = hazard_bytes(detect_hazard(full_cloud, params))
+                assert hazard_bytes(detect_hazard(kept_cloud, params)) == want, f"case {case}"
+                hazards += want is not None
+                cases += 1
+        # neither side of the comparison may be trivial
+        assert culled >= 60
+        assert 0.1 * cases <= hazards <= 0.9 * cases
+
+    def test_every_obstacle_kept_gives_the_scene_itself(self):
+        safety = HumanSafetyParams()
+        scene = scene_of([cyl((1.0, 0.0), 0.2, (1.0, 1.5))])
+        assert corridor_scene(scene, np.zeros(3), safety) is scene
+
+    def test_obstacles_out_of_the_band_or_out_of_reach_are_dropped(self):
+        safety = HumanSafetyParams(z_low=1.0, z_high=1.9, d_safe=1.2, release_hysteresis=0.2)
+        keep = cyl((1.0, 0.0), 0.2, (1.0, 1.5), oid="lamp")
+        low = box((1.0, 0.0), (0.2, 0.2), (0.0, 0.9), oid="bin")
+        far = cyl((3.0, 0.0), 0.2, (1.0, 1.5), oid="far")
+        behind = cyl((-1.0, 0.0), 0.2, (1.0, 1.5), oid="behind")
+        scene = scene_of([keep, low, far, behind])
+        kept = corridor_scene(scene, np.zeros(3), safety)
+        assert [ob.obstacle_id for ob in kept.obstacles] == ["lamp"]
+        # the box turns with the body: facing -x, only "behind" is ahead
+        turned = corridor_scene(scene, np.array([0.0, 0.0, math.pi]), safety)
+        assert [ob.obstacle_id for ob in turned.obstacles] == ["behind"]
+
+    def test_camera_inside_the_box(self):
+        rig, safety = default_rig(), HumanSafetyParams(z_low=1.0, z_high=1.9)
+        assert chest_camera_in_hazard_box(rig, 1.3, safety)
+        assert not chest_camera_in_hazard_box(rig, 0.9, safety)
+        assert not chest_camera_in_hazard_box(rig, 2.0, safety)
+        assert not chest_camera_in_hazard_box(dataclasses.replace(rig, chest_forward_m=0.0), 1.3, safety)
+        assert not chest_camera_in_hazard_box(dataclasses.replace(rig, chest_forward_m=1.5), 1.3, safety)
+
+
+# a lamp in the band ahead of the human and a bin below it, beyond the box's reach
+CULL_SCENE = scene_of(
+    [cyl((0.5, 0.0), 0.25, (1.0, 1.6), oid="lamp"), box((4.0, 1.0), (0.2, 0.2), (0.0, 0.5), oid="bin")],
+    goal=(5.0, 0.0),
+)
+
+
+@pytest.fixture
+def chest_scenes(monkeypatch):
+    """The scenes that chest_observation is called with, in order."""
+    seen = []
+    original = sim.chest_observation
+
+    def recording(scene, *args, **kwargs):
+        seen.append(scene)
+        return original(scene, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "chest_observation", recording)
+    return seen
+
+
+class TestChestTick:
+    """The engine culls the chest scene only where the cull is exact and draws no noise."""
+
+    def episode(self, tmp_path, **kw):
+        return _Episode(config_of(CULL_SCENE, **kw), Condition.CROSS_VIEW, 0, tmp_path, None, None)
+
+    def test_a_noise_free_tick_renders_the_culled_scene(self, tmp_path, chest_scenes):
+        ep = self.episode(tmp_path, safety=HumanSafetyParams(z_low=0.8, z_high=1.9))
+        ep._chest_tick(0.0)
+        assert [ob.obstacle_id for ob in chest_scenes[0].obstacles] == ["lamp"]
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"sim": {"depth_sigma_m": 0.02}},
+            {"safety": HumanSafetyParams(z_low=1.2, z_high=1.9)},  # camera under the band
+            {"safety": HumanSafetyParams(z_low=0.3, z_high=1.0)},  # camera over the band
+            {"rig": dataclasses.replace(default_rig(), chest_forward_m=2.0)},  # camera beyond reach
+        ],
+        ids=["noise", "camera_under_band", "camera_over_band", "camera_beyond_reach"],
+    )
+    def test_the_full_scene_is_rendered_otherwise(self, tmp_path, chest_scenes, kw):
+        ep = self.episode(tmp_path, **kw)
+        ep._chest_tick(0.0)
+        assert chest_scenes == [ep.scene]
+        assert chest_scenes[0] is ep.scene
+
+    def test_one_render_per_tick(self, tmp_path, monkeypatch):
+        renders = []
+        original = sim.render_depth
+        monkeypatch.setattr(sim, "render_depth", lambda *a: renders.append(a[0]) or original(*a))
+        # the lamp is beyond this shorter reach, so the culled scene is empty
+        ep = self.episode(tmp_path, safety=HumanSafetyParams(d_safe=0.6, d_brake=0.3, release_hysteresis=0.0))
+        for k in range(3):
+            ep._chest_tick(k / 15.0)
+            assert len(renders) == k + 1
+            assert renders[-1].obstacles == ()
+
+
+class TestNoiseStreams:
+    def test_the_robot_stream_starts_the_same_in_single_and_cross_view(self, tmp_path):
+        cfg = config_of(CULL_SCENE, sim={"depth_sigma_m": 0.03})
+        states = [
+            _Episode(cfg, condition, 5, tmp_path, None, None).rng_robot_noise.bit_generator.state
+            for condition in (Condition.SINGLE_VIEW, Condition.CROSS_VIEW)
+        ]
+        assert states[0] == states[1]
+
+    def test_chest_noise_leaves_the_robot_stream_alone(self, tmp_path):
+        cfg = config_of(CULL_SCENE, sim={"depth_sigma_m": 0.03})
+        ep = _Episode(cfg, Condition.CROSS_VIEW, 5, tmp_path, None, None)
+        robot = ep.rng_robot_noise.bit_generator.state
+        chest = ep.rng_chest_noise.bit_generator.state
+        ep._chest_tick(0.0)
+        assert ep.rng_robot_noise.bit_generator.state == robot
+        assert ep.rng_chest_noise.bit_generator.state != chest
+
+
+class TestUniqueCells:
+    def test_matches_the_row_sort_bitwise(self):
+        rng = np.random.default_rng(3)
+        lim = 2**31
+        for span in (3, 1000, lim):
+            cells = rng.integers(max(-span, -lim), min(span, lim), size=(500, 2), dtype=np.int64)
+            cells = np.vstack([cells, cells[:100], [[-lim, -lim], [lim - 1, lim - 1], [-lim, lim - 1], [0, -1]]])
+            got, want = unique_cells(cells), np.unique(cells, axis=0)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_empty_and_single_rows(self):
+        for cells in (np.zeros((0, 2), dtype=np.int64), np.array([[-4, 7]], dtype=np.int64)):
+            assert unique_cells(cells).tobytes() == np.unique(cells, axis=0).tobytes()

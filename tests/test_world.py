@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from crossnav import world
 from crossnav.geometry import FrameId, RigidTransform, rot_y, rot_z
 from crossnav.world import (
     CameraIntrinsics,
@@ -328,6 +329,24 @@ class TestRenderCullingIsExact:
                 f"trial {trial}"
             )
         assert seen == {"behind", "straddling", "outside", "inside"}
+
+
+class TestRaysAreBuiltOnlyWhenCast:
+    def test_a_scene_with_nothing_in_view_renders_no_return_and_builds_no_ray(self, monkeypatch):
+        built = []
+        original = world.pixel_directions
+        monkeypatch.setattr(world, "pixel_directions", lambda intr: built.append(intr) or original(intr))
+        pose = camera_pose([0.0, 0.0, 1.0])  # looking along +x
+        behind = box("behind", -2.0, 0.0, 0.3, 0.3, 0.0, 2.0)
+        beside = box("beside", 1.0, 3.0, 0.3, 0.3, 0.0, 2.0)
+        far = box("far", 9.0, 0.0, 0.3, 0.3, 0.0, 2.0)
+        for scene in (scene_of(), scene_of(behind), scene_of(behind, beside, far)):
+            img = render_depth(scene, pose, INTR)
+            assert np.isnan(img.depth).all()
+        assert built == []
+        ahead = box("ahead", 2.0, 0.0, 0.3, 0.3, 0.0, 2.0)
+        img = render_depth(scene_of(behind, ahead), pose, INTR)
+        assert len(built) == 1 and np.isfinite(img.depth).any()
 
 
 class TestDeproject:
