@@ -841,14 +841,6 @@ class TestCorridorCull:
         turned = corridor_scene(scene, np.array([0.0, 0.0, math.pi]), safety)
         assert [ob.obstacle_id for ob in turned.obstacles] == ["behind"]
 
-    def test_camera_inside_the_box(self):
-        rig, safety = default_rig(), HumanSafetyParams(z_low=1.0, z_high=1.9)
-        assert chest_camera_in_hazard_box(rig, 1.3, safety)
-        assert not chest_camera_in_hazard_box(rig, 0.9, safety)
-        assert not chest_camera_in_hazard_box(rig, 2.0, safety)
-        assert not chest_camera_in_hazard_box(dataclasses.replace(rig, chest_forward_m=0.0), 1.3, safety)
-        assert not chest_camera_in_hazard_box(dataclasses.replace(rig, chest_forward_m=1.5), 1.3, safety)
-
 
 # a lamp in the band ahead of the human and a bin below it, beyond the box's reach
 CULL_SCENE = scene_of(
@@ -872,7 +864,7 @@ def chest_scenes(monkeypatch):
 
 
 class TestChestTick:
-    """The engine culls the chest scene only where the cull is exact and draws no noise."""
+    """The engine culls the chest scene only where the cull is exact: camera in the box, no noise."""
 
     def episode(self, tmp_path, **kw):
         return _Episode(config_of(CULL_SCENE, **kw), Condition.CROSS_VIEW, 0, tmp_path, None, None)
@@ -889,14 +881,14 @@ class TestChestTick:
             {"safety": HumanSafetyParams(z_low=1.2, z_high=1.9)},  # camera under the band
             {"safety": HumanSafetyParams(z_low=0.3, z_high=1.0)},  # camera over the band
             {"rig": dataclasses.replace(default_rig(), chest_forward_m=2.0)},  # camera beyond reach
+            {"rig": dataclasses.replace(default_rig(), chest_forward_m=0.0)},  # camera not ahead of the body
         ],
-        ids=["noise", "camera_under_band", "camera_over_band", "camera_beyond_reach"],
+        ids=["noise", "camera_under_band", "camera_over_band", "camera_beyond_reach", "camera_at_x0"],
     )
     def test_the_full_scene_is_rendered_otherwise(self, tmp_path, chest_scenes, kw):
         ep = self.episode(tmp_path, **kw)
         ep._chest_tick(0.0)
-        assert chest_scenes == [ep.scene]
-        assert chest_scenes[0] is ep.scene
+        assert len(chest_scenes) == 1 and chest_scenes[0] is ep.scene
 
     def test_one_render_per_tick(self, tmp_path, monkeypatch):
         renders = []
