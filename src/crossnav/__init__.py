@@ -63,7 +63,6 @@ from .planner import (
 )
 from .sentinel import (
     HazardEvent,
-    LineProtocolDescriber,
     ObstacleSighting,
     RoiSpec,
     SentinelConfig,

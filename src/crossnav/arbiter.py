@@ -2,14 +2,13 @@
 
 The human branch wins whenever its command magnitude exceeds the deadband;
 otherwise the planner drives. Selection is a hard switch, never a blend.
-Producers publish asynchronously into a keep-last-one store; the arbiter
+Producers publish at their own rates into a keep-last-one store; the arbiter
 consumes the newest fresh value per branch at its own tick rate.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -59,23 +58,23 @@ def arbitrate(
 
 
 class LatestValueStore:
-    """Keep-last-one channel per branch; safe under concurrent publish and read."""
+    """Keep-last-one channel per branch.
+
+    Producers and the arbiter run as tasks of one single-threaded event
+    loop, so a publish never overlaps a read.
+    """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._latest: Dict[CommandSource, VelocityCommand] = {}
 
     def publish(self, cmd: VelocityCommand) -> None:
-        with self._lock:
-            self._latest[cmd.source] = cmd
+        self._latest[cmd.source] = cmd
 
     def latest(self, source: CommandSource) -> Optional[VelocityCommand]:
-        with self._lock:
-            return self._latest.get(source)
+        return self._latest.get(source)
 
     def snapshot(self) -> Dict[CommandSource, VelocityCommand]:
-        with self._lock:
-            return dict(self._latest)
+        return dict(self._latest)
 
 
 def tick(store: LatestValueStore, now: float, cfg: ArbiterConfig) -> ArbitrationDecision:

@@ -9,8 +9,6 @@ only and never feeds back into motion commands.
 
 from __future__ import annotations
 
-import json
-import subprocess
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -26,10 +24,6 @@ CENTER_BEARING_DEG = 10.0
 
 class RoiOutOfBounds(Exception):
     """Raised when a region of interest does not fit the image."""
-
-
-class DescriberUnavailable(Exception):
-    """Raised by describers that cannot produce text right now."""
 
 
 @dataclass(frozen=True)
@@ -144,54 +138,6 @@ class TemplateDescriber:
             f"{nearest.kind} obstacle {nearest.obstacle_id} ahead, "
             f"{nearest.range_m:.1f} meters, {_side_word(nearest.bearing_deg)}"
         )
-
-
-class LineProtocolDescriber:
-    """Bridge to an external describer over stdin/stdout, one JSON line per request.
-
-    Request: {"prompt": str, "sightings": [{"id", "kind", "bearing_deg", "range_m"}]}
-    Response: a single line of announcement text.
-    """
-
-    def __init__(self, argv: Sequence[str]):
-        self._proc = subprocess.Popen(
-            list(argv),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
-        )
-
-    def __call__(self, sightings: Sequence[ObstacleSighting], prompt: str) -> str:
-        request = {
-            "prompt": prompt,
-            "sightings": [
-                {
-                    "id": s.obstacle_id,
-                    "kind": s.kind,
-                    "bearing_deg": round(s.bearing_deg, 3),
-                    "range_m": round(s.range_m, 3),
-                }
-                for s in sightings
-            ],
-        }
-        if self._proc.poll() is not None:
-            raise DescriberUnavailable("describer process has exited")
-        try:
-            self._proc.stdin.write(json.dumps(request) + "\n")
-            self._proc.stdin.flush()
-            line = self._proc.stdout.readline()
-        except (BrokenPipeError, OSError) as exc:
-            raise DescriberUnavailable(str(exc)) from exc
-        if not line:
-            raise DescriberUnavailable("describer closed its output stream")
-        return line.rstrip("\n")
-
-    def close(self) -> None:
-        if self._proc.poll() is None:
-            self._proc.stdin.close()
-            self._proc.terminate()
-            self._proc.wait(timeout=5)
 
 
 def describe(

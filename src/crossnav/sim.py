@@ -521,47 +521,86 @@ class CollisionEvent:
     kind: ObstacleKind
 
 
+# Slack (meters) on the reach of every (agent, obstacle) pair in
+# ``CollisionTracker``. A point's distance to a footprint is never less than
+# its distance to the footprint's circumscribing circle, so the bound only
+# has to absorb float rounding, about 1e-15 m at corridor scale. With no
+# slack, a point on a box's corner diagonal at exactly that reach can be
+# rejected while the footprint test finds it touching.
+_REACH_SLACK_M = 1e-6
+
+
 class CollisionTracker:
     """Entering-transition collision counter with per-obstacle debounce.
 
     The human is a vertical cylinder from the ground to head height; the
     robot a shorter, wider one. Re-contact with the same obstacle inside the
     debounce window is not a new event.
+
+    The (agent, obstacle) pairs whose height spans can meet are listed once,
+    each with its squared reach (footprint circumradius + agent radius +
+    ``_REACH_SLACK_M``)². ``update`` runs the exact footprint test only on
+    pairs whose centres are within reach, so its booleans are those of
+    ``Obstacle.overlaps_vertical_cylinder``.
     """
 
     def __init__(self, scene: Scene, sim: SimParams, robot_enabled: bool = True):
-        self.scene = scene
         self.sim = sim
         self.robot_enabled = robot_enabled
-        self._overlap: Dict[Tuple[str, str], bool] = {}
+        agents = [("human", scene.body_radius_m, scene.head_height_m)]
+        if robot_enabled:
+            agents.append(("robot", sim.robot_radius_m, sim.robot_height_m))
+
+        def spans_meet(ob, height):  # the z test of overlaps_vertical_cylinder
+            return not (ob.z_min >= height or ob.z_max <= 0.0)
+
+        live = {
+            (agent, ob.obstacle_id)
+            for ob in scene.obstacles
+            for agent, _, height in agents
+            if spans_meet(ob, height)
+        }
+        # obstacle order, human before robot: the order events come out in
+        self._pairs = []
+        for ob in scene.obstacles:
+            cx, cy = (float(c) for c in ob.center)
+            for agent, radius, height in agents:
+                key = (agent, ob.obstacle_id)
+                if spans_meet(ob, height):
+                    reach_sq = (ob.circumradius + radius + _REACH_SLACK_M) ** 2
+                elif key in live:
+                    # never over, but another obstacle with the same id can
+                    # be, and each "not over" clears the contact they share
+                    reach_sq = -1.0
+                else:
+                    continue
+                self._pairs.append((key, ob, cx, cy, reach_sq, radius))
+        self._touching: set = set()  # (agent, obstacle_id) keys in contact
         self._last_event: Dict[Tuple[str, str], float] = {}
 
     def in_contact(self, agent: str = "human") -> bool:
-        return any(over and key[0] == agent for key, over in self._overlap.items())
-
-    def _transition(
-        self, agent: str, obstacle_id: str, kind: ObstacleKind, over: bool, now: float, out: list
-    ) -> None:
-        key = (agent, obstacle_id)
-        if over and not self._overlap.get(key, False):
-            last = self._last_event.get(key)
-            if last is None or now - last >= self.sim.collision_debounce_s:
-                out.append(CollisionEvent(now, agent, obstacle_id, kind))
-                self._last_event[key] = now
-        self._overlap[key] = over
+        return any(key[0] == agent for key in self._touching)
 
     def update(self, now: float, human_xy: np.ndarray, robot_xy: Optional[np.ndarray]) -> List[CollisionEvent]:
         events: List[CollisionEvent] = []
-        for ob in self.scene.obstacles:
-            over_h = ob.overlaps_vertical_cylinder(
-                human_xy, self.scene.body_radius_m, 0.0, self.scene.head_height_m
-            )
-            self._transition("human", ob.obstacle_id, ob.kind, over_h, now, events)
-            if self.robot_enabled and robot_xy is not None:
-                over_r = ob.overlaps_vertical_cylinder(
-                    robot_xy, self.sim.robot_radius_m, 0.0, self.sim.robot_height_m
-                )
-                self._transition("robot", ob.obstacle_id, ob.kind, over_r, now, events)
+        at = {"human": (human_xy, float(human_xy[0]), float(human_xy[1]))}
+        if robot_xy is not None:
+            at["robot"] = (robot_xy, float(robot_xy[0]), float(robot_xy[1]))
+        for key, ob, cx, cy, reach_sq, radius in self._pairs:
+            agent = key[0]
+            if agent not in at:
+                continue  # no robot position: its contacts stand as they are
+            xy, x, y = at[agent]
+            dx, dy = x - cx, y - cy
+            if dx * dx + dy * dy <= reach_sq and ob.footprint_distance(xy) <= radius:
+                if key not in self._touching:
+                    self._touching.add(key)
+                    last = self._last_event.get(key)
+                    if last is None or now - last >= self.sim.collision_debounce_s:
+                        events.append(CollisionEvent(now, agent, ob.obstacle_id, ob.kind))
+                        self._last_event[key] = now
+            else:
+                self._touching.discard(key)
         return events
 
 

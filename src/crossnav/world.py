@@ -70,6 +70,13 @@ class Obstacle:
         inside = min(max(q[0], q[1]), 0.0)
         return float(outside + inside)
 
+    @property
+    def circumradius(self) -> float:
+        """Radius of the smallest circle about ``center`` that holds the footprint."""
+        if self.shape is ObstacleShape.CYLINDER:
+            return float(self.radius)
+        return float(np.hypot(self.half_extents[0], self.half_extents[1]))
+
     def overlaps_vertical_cylinder(self, xy, radius: float, z_low: float, z_high: float) -> bool:
         """True when a body cylinder (footprint circle + height span) intersects this solid."""
         if self.z_min >= z_high or self.z_max <= z_low:

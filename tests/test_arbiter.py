@@ -1,7 +1,6 @@
 """Hard-switch command arbitration and the keep-last-one store."""
 
 import math
-import threading
 
 import pytest
 
@@ -142,38 +141,6 @@ class TestLatestValueStore:
         snap = store.snapshot()
         snap.clear()
         assert store.latest(CommandSource.APF) is not None
-
-    def test_concurrent_publish_and_read(self):
-        store = LatestValueStore()
-        done = threading.Event()
-        bad = []
-
-        def writer(source):
-            for i in range(500):
-                store.publish(VelocityCommand(0.1, 0.0, 0.0, float(i), source))
-
-        def reader():
-            while not done.is_set():
-                for source in (CommandSource.APF, CommandSource.HUMAN):
-                    cmd = store.latest(source)
-                    if cmd is not None and cmd.source is not source:
-                        bad.append(cmd)
-
-        t_read = threading.Thread(target=reader)
-        writers = [
-            threading.Thread(target=writer, args=(s,))
-            for s in (CommandSource.APF, CommandSource.HUMAN)
-        ]
-        t_read.start()
-        for t in writers:
-            t.start()
-        for t in writers:
-            t.join()
-        done.set()
-        t_read.join()
-        assert not bad
-        assert store.latest(CommandSource.APF).stamp == 499.0
-        assert store.latest(CommandSource.HUMAN).stamp == 499.0
 
 
 class TestValidation:

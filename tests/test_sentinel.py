@@ -1,15 +1,11 @@
 """Depth-gated announcement trigger, debounce, and describer plumbing."""
 
-import sys
-
 import numpy as np
 import pytest
 
 from crossnav.geometry import FrameId
 from crossnav.sentinel import (
     HAZARD_PROMPT,
-    DescriberUnavailable,
-    LineProtocolDescriber,
     ObstacleSighting,
     RoiOutOfBounds,
     RoiSpec,
@@ -162,49 +158,6 @@ class TestTemplateDescriber:
         assert word(10.0) == "center"  # boundary counts as center
         assert word(-10.0) == "center"
         assert word(0.0) == "center"
-
-
-ECHO_SCRIPT = (
-    "import sys, json\n"
-    "for line in sys.stdin:\n"
-    "    req = json.loads(line)\n"
-    "    ids = ','.join(s['id'] for s in req['sightings'])\n"
-    "    print(req['prompt'].split()[0] + '|' + ids)\n"
-    "    sys.stdout.flush()\n"
-)
-
-
-class TestLineProtocolDescriber:
-    def test_round_trip(self):
-        d = LineProtocolDescriber([sys.executable, "-c", ECHO_SCRIPT])
-        try:
-            text = d([sighting("lamp"), sighting("bin", kind="ground")], HAZARD_PROMPT)
-            assert text == "Obstacle|lamp,bin"
-            # the channel stays up across requests
-            assert d([sighting("post")], HAZARD_PROMPT) == "Obstacle|post"
-        finally:
-            d.close()
-
-    def test_closed_output_stream_raises(self):
-        # close the fd itself: the parent should see EOF and raise promptly
-        script = "import os, time\nos.close(1)\ntime.sleep(30)\n"
-        d = LineProtocolDescriber([sys.executable, "-c", script])
-        try:
-            with pytest.raises(DescriberUnavailable):
-                d([sighting()], HAZARD_PROMPT)
-        finally:
-            d.close()
-
-    def test_exited_process_raises(self):
-        d = LineProtocolDescriber([sys.executable, "-c", "pass"])
-        d._proc.wait(timeout=5)
-        with pytest.raises(DescriberUnavailable):
-            d([sighting()], HAZARD_PROMPT)
-
-    def test_close_is_idempotent(self):
-        d = LineProtocolDescriber([sys.executable, "-c", ECHO_SCRIPT])
-        d.close()
-        d.close()
 
 
 class TestDescribe:

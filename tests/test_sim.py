@@ -479,6 +479,189 @@ class TestCollisionTracker:
         state = world_state(robot=(1.0, 0.0, 0.0), human=(4.0, 0.0, 0.0))
         assert detect_collisions(state, scene, tracker) == []
 
+    def test_events_of_one_tick_come_in_obstacle_order_human_first(self):
+        scene = scene_of([box((1.0, 0.0), (0.3, 0.3), oid="A"), box((4.0, 0.0), (0.3, 0.3), oid="B")])
+        tracker = CollisionTracker(scene, self.SIM)
+        events = tracker.update(0.0, np.array([4.0, 0.0]), np.array([1.0, 0.0]))
+        assert [(ev.agent, ev.obstacle_id) for ev in events] == [("robot", "A"), ("human", "B")]
+        both = CollisionTracker(scene, self.SIM).update(0.0, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        assert [(ev.agent, ev.obstacle_id) for ev in both] == [("human", "A"), ("robot", "A")]
+
+    def test_no_robot_position_leaves_its_contact_standing(self):
+        scene = scene_of([box((1.0, 0.0), (0.3, 0.3))])
+        tracker = CollisionTracker(scene, self.SIM)
+        far, inside = np.array([4.0, 0.0]), np.array([1.0, 0.0])
+        assert [ev.agent for ev in tracker.update(0.0, far, inside)] == ["robot"]
+        assert tracker.update(2.0, far, None) == []
+        assert tracker.in_contact("robot")
+        # still the same contact, though a debounce window has passed
+        assert tracker.update(4.0, far, inside) == []
+        tracker.update(6.0, far, far)
+        assert not tracker.in_contact("robot")
+
+    def test_overhead_obstacle_never_hits_the_robot(self):
+        scene = scene_of([
+            cyl((1.0, 0.0), 0.25, (1.6, 1.8)),
+            box((3.0, 0.0), (0.3, 0.3), (0.6, 1.2), ObstacleKind.OVERHEAD, "shelf"),
+        ])
+        tracker = CollisionTracker(scene, self.SIM)
+        far = np.array([-1.5, 1.5])
+        for i, x in enumerate(np.linspace(0.0, 4.0, 81)):
+            robot = np.array([x, 0.0]) if i % 2 == 0 else far
+            assert [ev for ev in tracker.update(2.0 * i, far, robot) if ev.agent == "robot"] == []
+        assert not tracker.in_contact("robot")
+
+
+class _ScalarTracker:
+    """The collision tracker as it was before its pair list: the reference.
+
+    Every update tests every obstacle against both agents with
+    ``overlaps_vertical_cylinder``.
+    """
+
+    def __init__(self, scene, sim, robot_enabled=True):
+        self.scene = scene
+        self.sim = sim
+        self.robot_enabled = robot_enabled
+        self._overlap = {}
+        self._last_event = {}
+
+    def in_contact(self, agent="human"):
+        return any(over and key[0] == agent for key, over in self._overlap.items())
+
+    def _transition(self, agent, obstacle_id, kind, over, now, out):
+        key = (agent, obstacle_id)
+        if over and not self._overlap.get(key, False):
+            last = self._last_event.get(key)
+            if last is None or now - last >= self.sim.collision_debounce_s:
+                out.append(sim.CollisionEvent(now, agent, obstacle_id, kind))
+                self._last_event[key] = now
+        self._overlap[key] = over
+
+    def update(self, now, human_xy, robot_xy):
+        events = []
+        for ob in self.scene.obstacles:
+            over_h = ob.overlaps_vertical_cylinder(
+                human_xy, self.scene.body_radius_m, 0.0, self.scene.head_height_m
+            )
+            self._transition("human", ob.obstacle_id, ob.kind, over_h, now, events)
+            if self.robot_enabled and robot_xy is not None:
+                over_r = ob.overlaps_vertical_cylinder(
+                    robot_xy, self.sim.robot_radius_m, 0.0, self.sim.robot_height_m
+                )
+                self._transition("robot", ob.obstacle_id, ob.kind, over_r, now, events)
+        return events
+
+
+class TestCollisionBroadPhase:
+    """The tracker's pair list and reach bound change no boolean and no event."""
+
+    SCENES = 40
+    TICKS = 300
+
+    @staticmethod
+    def z_span(rng, robot_h, head_h):
+        """A height span below the robot's top, between it and the head, or above the head."""
+        band = rng.integers(0, 6)
+        if band == 0:
+            return 0.0, float(rng.uniform(0.05, robot_h))
+        if band == 1:
+            lo = float(rng.uniform(robot_h, head_h - 0.1))
+            return lo, float(rng.uniform(lo + 0.01, head_h + 0.2))
+        if band == 2:
+            lo = float(rng.uniform(head_h, head_h + 0.5))
+            return lo, lo + 0.2
+        if band == 3:
+            return robot_h, head_h  # touches each top exactly: the robot never meets it
+        if band == 4:
+            return head_h, head_h + 0.3  # rests exactly on the head: nobody meets it
+        return -0.3, 0.0  # below the floor
+
+    def random_scene(self, rng):
+        """Boxes and cylinders, half of them on a 1/16 m grid so boundary probes are exact."""
+        dyadic = bool(rng.integers(0, 2))
+
+        def length(lo, hi):
+            v = rng.uniform(lo, hi)
+            return float(np.round(v * 16) / 16) if dyadic else float(v)
+
+        sim_params = SimParams(robot_radius_m=length(0.15, 0.35), robot_height_m=length(0.3, 0.6))
+        head_h = length(1.5, 1.9)
+        n = int(rng.integers(1, 8))
+        ids = [f"o{i}" for i in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            ids[int(rng.integers(1, n))] = ids[0]  # a repeated id shares its contact
+        obstacles = []
+        for oid in ids:
+            center = (length(-2.0, 2.0), length(-1.0, 1.0))
+            z = self.z_span(rng, sim_params.robot_height_m, head_h)
+            kind = ObstacleKind.OVERHEAD if z[0] > sim_params.robot_height_m else ObstacleKind.GROUND
+            if rng.random() < 0.5:
+                ob = box(center, (length(0.05, 0.6), length(0.05, 0.6)), z, kind, oid)
+            else:
+                ob = cyl(center, length(0.05, 0.5), z, kind, oid)
+            obstacles.append(ob)
+        scene = dataclasses.replace(
+            scene_of(obstacles, corridor=((-3.0, -2.0), (3.0, 2.0))),
+            body_radius_m=length(0.1, 0.3),
+            head_height_m=head_h,
+        )
+        return scene, sim_params
+
+    @staticmethod
+    def probes(ob, r):
+        """Points whose footprint distance is r, or whose centre distance is R + r, give or take ulps."""
+        c = ob.center
+        points = []
+        for k in (-3, -1, 0, 1, 3):
+            if ob.shape is ObstacleShape.BOX:
+                hx, hy = ob.half_extents
+                reach = math.hypot(hx, hy) + r
+                reach += k * np.spacing(reach)
+                for sx, sy in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+                    points.append(c + reach * np.array([sx * hx, sy * hy]) / math.hypot(hx, hy))
+                edge = hx + r + k * np.spacing(hx + r)
+                points.append(c + np.array([edge, 0.0]))
+                points.append(c + np.array([0.0, -(hy + r + k * np.spacing(hy + r))]))
+            else:
+                reach = ob.radius + r + k * np.spacing(ob.radius + r)
+                for a in (0.0, 0.5 * math.pi, 0.7):
+                    points.append(c + reach * np.array([math.cos(a), math.sin(a)]))
+        return points
+
+    def test_matches_the_scalar_tracker_on_random_scenes(self):
+        rng = np.random.default_rng(20261019)
+        exact_boundary = events = 0
+        for _ in range(self.SCENES):
+            scene, sim_params = self.random_scene(rng)
+            robot_enabled = rng.random() < 0.8
+            tracker = CollisionTracker(scene, sim_params, robot_enabled)
+            reference = _ScalarTracker(scene, sim_params, robot_enabled)
+            probes = {}
+            for name, r in (("human", scene.body_radius_m), ("robot", sim_params.robot_radius_m)):
+                probes[name] = [p for ob in scene.obstacles for p in self.probes(ob, r)]
+                exact_boundary += sum(
+                    ob.footprint_distance(p) == r for ob in scene.obstacles for p in probes[name]
+                )
+            pos = {"human": np.array([-2.5, 0.0]), "robot": np.array([-2.0, 0.0])}
+            now = 0.0
+            for _ in range(self.TICKS):
+                now += float(rng.choice([0.05, 0.4, 1.1]))
+                for name in pos:
+                    if rng.random() < 0.4:
+                        pos[name] = probes[name][int(rng.integers(len(probes[name])))]
+                    else:
+                        pos[name] = np.clip(pos[name] + rng.normal(0.0, 0.2, 2), (-3.0, -2.0), (3.0, 2.0))
+                robot_xy = None if rng.random() < 0.1 else pos["robot"]
+                got = tracker.update(now, pos["human"], robot_xy)
+                want = reference.update(now, pos["human"], robot_xy)
+                assert [dataclasses.astuple(ev) for ev in got] == [dataclasses.astuple(ev) for ev in want]
+                for agent in ("human", "robot"):
+                    assert tracker.in_contact(agent) == reference.in_contact(agent)
+                events += len(want)
+        # the probes did reach the boundary, and contacts did happen
+        assert exact_boundary > 100
+        assert events > 500
 
 class TestUnassistedWalker:
     def quiet_sim(self):

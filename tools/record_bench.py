@@ -46,12 +46,18 @@ def _run(workload: str, seed: int, trace: int, seconds: float) -> dict:
     proc = subprocess.run(cmd, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     summary = proc.stderr.strip().splitlines()
+    result = None
+    if proc.returncode == 0 and lines:
+        try:
+            result = json.loads(lines[-1])
+        except json.JSONDecodeError:
+            pass  # recorded as a run without a result, so its workload is not correct
     return {
         "workload": workload,
         "seed": seed,
         "trace": trace,
         "returncode": proc.returncode,
-        "result": json.loads(lines[-1]) if proc.returncode == 0 and lines else None,
+        "result": result if isinstance(result, dict) else None,
         "summary": summary[-1] if summary else "",
     }
 
