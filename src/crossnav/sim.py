@@ -62,6 +62,9 @@ from .world import (
 )
 
 TRACE_HEADER = "t,robot_x,robot_y,robot_theta,human_x,human_y,source,A,v_x,v_y,w_z,min_roi_depth,event"
+# one trace row, in TRACE_HEADER's columns; ``%.6f`` of a float gives the
+# bytes of the f-string ``{x:.6f}`` on the same value, float64 or float
+_ROW = "%.3f,%.6f,%.6f,%.6f,%.6f,%.6f,%s,%s,%.6f,%.6f,%.6f,%s,%s"
 
 
 class ConfigError(Exception):
@@ -257,43 +260,50 @@ def _wrap_angle(a: float) -> float:
     return math.atan2(math.sin(a), math.cos(a))
 
 
-def _integrate_unicycle(pose: np.ndarray, cmd: VelocityCommand, dt: float) -> np.ndarray:
-    x, y, th = pose
+# The physics tick runs on Python floats read once from each pose. Float
+# arithmetic rounds exactly as float64 numpy does, so each expression below
+# keeps the operands and the order of the array code it replaced, and every
+# np.hypot stays np.hypot: math.hypot rounds differently.
+
+
+def _integrate_unicycle(
+    x: float, y: float, th: float, cmd: VelocityCommand, dt: float
+) -> Tuple[float, float, float]:
     c, s = math.cos(th), math.sin(th)
-    return np.array(
-        [
-            x + (cmd.v_x * c - cmd.v_y * s) * dt,
-            y + (cmd.v_x * s + cmd.v_y * c) * dt,
-            _wrap_angle(th + cmd.w_z * dt),
-        ]
+    return (
+        x + (cmd.v_x * c - cmd.v_y * s) * dt,
+        y + (cmd.v_x * s + cmd.v_y * c) * dt,
+        _wrap_angle(th + cmd.w_z * dt),
     )
 
 
-def human_follower(state: WorldState, params: FollowerParams, dt: float) -> np.ndarray:
-    """One follower update: new (x, y, heading) for the human."""
-    robot_xy = state.robot_pose[:2]
-    human_xy = state.human_pose[:2]
-    offset = robot_xy - human_xy
-    dist = float(np.hypot(offset[0], offset[1]))
+def human_follower(state: WorldState, params: FollowerParams, dt: float) -> Tuple[float, float, float]:
+    """One follower update: new (x, y, heading) for the human, as floats."""
+    rx, ry = state.robot_pose[:2].tolist()
+    hx, hy, hh = state.human_pose.tolist()
+    ox, oy = rx - hx, ry - hy
+    dist = float(np.hypot(ox, oy))
     if dist < 1e-9:
-        heading = state.human_pose[2]
-        direction = np.array([math.cos(heading), math.sin(heading)])
+        dx, dy = math.cos(hh), math.sin(hh)
     else:
-        direction = offset / dist
+        dx, dy = ox / dist, oy / dist
     # walk only when the leash is taut; a slack leash means wait, never back up
     advance = max(dist - params.leash_length_m, 0.0)
     speed = min(params.gain_hz * advance, params.speed_cap_mps)
-    new_xy = human_xy + speed * direction * dt
-    to_robot = robot_xy - new_xy
-    if float(np.hypot(to_robot[0], to_robot[1])) > 1e-9:
-        heading = math.atan2(to_robot[1], to_robot[0])
-    else:
-        heading = state.human_pose[2]
-    return np.array([new_xy[0], new_xy[1], heading])
+    nx, ny = hx + speed * dx * dt, hy + speed * dy * dt
+    tx, ty = rx - nx, ry - ny
+    heading = math.atan2(ty, tx) if float(np.hypot(tx, ty)) > 1e-9 else hh
+    return nx, ny, heading
 
 
-def _clamp_to_corridor(xy: np.ndarray, scene: Scene, margin: float) -> np.ndarray:
-    return np.minimum(np.maximum(xy, scene.corridor_min + margin), scene.corridor_max - margin)
+def _clamp_to_corridor(x: float, y: float, scene: Scene, margin: float) -> Tuple[float, float]:
+    # bound first: on a tie the wall's own value wins, signed zero included,
+    # as in numpy's float64 minimum/maximum on x86
+    (lo_x, lo_y), (hi_x, hi_y) = scene.corridor_min.tolist(), scene.corridor_max.tolist()
+    return (
+        min(hi_x - margin, max(lo_x + margin, x)),
+        min(hi_y - margin, max(lo_y + margin, y)),
+    )
 
 
 def step(
@@ -314,24 +324,22 @@ def step(
     if dt <= 0:
         raise ValueError("dt must be positive")
     if drive_human:
-        human = _integrate_unicycle(state.human_pose, v_cmd, dt)
-        human[:2] = _clamp_to_corridor(human[:2], scene, scene.body_radius_m)
+        hx, hy, hh = _integrate_unicycle(*state.human_pose.tolist(), v_cmd, dt)
         robot = state.robot_pose.copy()
         robot_vel = state.robot_vel
     else:
         f = follower if follower is not None else FollowerParams(
             scene.leash_length_m, SimParams.follower_gain_hz, SimParams.human_speed_cap_mps
         )
-        human = human_follower(state, f, dt)
-        human[:2] = _clamp_to_corridor(human[:2], scene, scene.body_radius_m)
-        robot = _integrate_unicycle(state.robot_pose, v_cmd, dt)
-        robot[:2] = _clamp_to_corridor(robot[:2], scene, 0.0)
+        hx, hy, hh = human_follower(state, f, dt)
+        rx, ry, rth = _integrate_unicycle(*state.robot_pose.tolist(), v_cmd, dt)
+        robot = np.array([*_clamp_to_corridor(rx, ry, scene, 0.0), rth])
         robot_vel = v_cmd
     return WorldState(
         time=state.time + dt,
         robot_pose=robot,
         robot_vel=robot_vel,
-        human_pose=human,
+        human_pose=np.array([*_clamp_to_corridor(hx, hy, scene, scene.body_radius_m), hh]),
         human_bend=state.human_bend,
     )
 
@@ -541,7 +549,8 @@ class CollisionTracker:
     each with its squared reach (footprint circumradius + agent radius +
     ``_REACH_SLACK_M``)². ``update`` runs the exact footprint test only on
     pairs whose centres are within reach, so its booleans are those of
-    ``Obstacle.overlaps_vertical_cylinder``.
+    ``Obstacle.overlaps_vertical_cylinder``. Contact is kept per (agent,
+    obstacle id), which ``Scene.validate`` makes unique.
     """
 
     def __init__(self, scene: Scene, sim: SimParams, robot_enabled: bool = True):
@@ -551,30 +560,18 @@ class CollisionTracker:
         if robot_enabled:
             agents.append(("robot", sim.robot_radius_m, sim.robot_height_m))
 
-        def spans_meet(ob, height):  # the z test of overlaps_vertical_cylinder
-            return not (ob.z_min >= height or ob.z_max <= 0.0)
-
-        live = {
-            (agent, ob.obstacle_id)
-            for ob in scene.obstacles
-            for agent, _, height in agents
-            if spans_meet(ob, height)
-        }
-        # obstacle order, human before robot: the order events come out in
-        self._pairs = []
+        # one pair list per agent; ``order`` numbers the pairs in obstacle
+        # order, human before robot, which is the order events come out in
+        self._pairs: Dict[str, list] = {agent: [] for agent, _, _ in agents}
+        order = 0
         for ob in scene.obstacles:
-            cx, cy = (float(c) for c in ob.center)
+            cx, cy = ob.center.tolist()
             for agent, radius, height in agents:
-                key = (agent, ob.obstacle_id)
-                if spans_meet(ob, height):
-                    reach_sq = (ob.circumradius + radius + _REACH_SLACK_M) ** 2
-                elif key in live:
-                    # never over, but another obstacle with the same id can
-                    # be, and each "not over" clears the contact they share
-                    reach_sq = -1.0
-                else:
-                    continue
-                self._pairs.append((key, ob, cx, cy, reach_sq, radius))
+                if ob.z_min >= height or ob.z_max <= 0.0:
+                    continue  # the z test of overlaps_vertical_cylinder: never over
+                reach_sq = (ob.circumradius + radius + _REACH_SLACK_M) ** 2
+                self._pairs[agent].append((order, (agent, ob.obstacle_id), ob, cx, cy, reach_sq, radius))
+                order += 1
         self._touching: set = set()  # (agent, obstacle_id) keys in contact
         self._last_event: Dict[Tuple[str, str], float] = {}
 
@@ -582,26 +579,28 @@ class CollisionTracker:
         return any(key[0] == agent for key in self._touching)
 
     def update(self, now: float, human_xy: np.ndarray, robot_xy: Optional[np.ndarray]) -> List[CollisionEvent]:
-        events: List[CollisionEvent] = []
-        at = {"human": (human_xy, float(human_xy[0]), float(human_xy[1]))}
-        if robot_xy is not None:
-            at["robot"] = (robot_xy, float(robot_xy[0]), float(robot_xy[1]))
-        for key, ob, cx, cy, reach_sq, radius in self._pairs:
-            agent = key[0]
-            if agent not in at:
-                continue  # no robot position: its contacts stand as they are
-            xy, x, y = at[agent]
+        events: List[Tuple[int, CollisionEvent]] = []
+        self._update_agent(self._pairs["human"], human_xy, now, events)
+        if robot_xy is not None and "robot" in self._pairs:
+            # with no robot position its contacts stand as they are
+            self._update_agent(self._pairs["robot"], robot_xy, now, events)
+        if len(events) > 1:
+            events.sort(key=lambda item: item[0])
+        return [ev for _, ev in events]
+
+    def _update_agent(self, pairs: list, xy: np.ndarray, now: float, events: list) -> None:
+        x, y = xy.tolist()
+        for order, key, ob, cx, cy, reach_sq, radius in pairs:
             dx, dy = x - cx, y - cy
             if dx * dx + dy * dy <= reach_sq and ob.footprint_distance(xy) <= radius:
                 if key not in self._touching:
                     self._touching.add(key)
                     last = self._last_event.get(key)
                     if last is None or now - last >= self.sim.collision_debounce_s:
-                        events.append(CollisionEvent(now, agent, ob.obstacle_id, ob.kind))
+                        events.append((order, CollisionEvent(now, key[0], ob.obstacle_id, ob.kind)))
                         self._last_event[key] = now
             else:
                 self._touching.discard(key)
-        return events
 
 
 def detect_collisions(state: WorldState, scene: Scene, tracker: CollisionTracker) -> List[CollisionEvent]:
@@ -778,6 +777,7 @@ class _Episode:
             human_bend=self._bend_at(0.0),
         )
 
+        self.goal_x, self.goal_y = self.scene.goal.tolist()
         self.follower = FollowerParams(
             self.scene.leash_length_m, config.sim.follower_gain_hz, config.sim.human_speed_cap_mps
         )
@@ -945,12 +945,9 @@ class _Episode:
             else:
                 events.append(f"robot_contact:{ev.obstacle_id}")
 
-        goal_xy = (
-            self.state.human_pose[:2]
-            if self.condition is Condition.UNASSISTED
-            else self.state.robot_pose[:2]
-        )
-        dist_goal = float(np.hypot(*(self.scene.goal - goal_xy)))
+        pose = self.state.human_pose if self.condition is Condition.UNASSISTED else self.state.robot_pose
+        x, y = pose[:2].tolist()
+        dist_goal = float(np.hypot(self.goal_x - x, self.goal_y - y))
         if dist_goal <= sim.goal_tolerance_m:
             self.status = TerminationStatus.GOAL
         elif self._stalled(now):
@@ -986,12 +983,13 @@ class _Episode:
     def _format_row(self, events: Sequence[str]) -> str:
         st = self.state
         cmd = self.executed
+        rx, ry, rth = st.robot_pose.tolist()
+        hx, hy, _ = st.human_pose.tolist()
         a = self.decision.a if self.decision is not None else 0
-        depth = "" if self.roi_depth is None else f"{self.roi_depth:.3f}"
-        return (
-            f"{st.time:.3f},{st.robot_pose[0]:.6f},{st.robot_pose[1]:.6f},{st.robot_pose[2]:.6f},"
-            f"{st.human_pose[0]:.6f},{st.human_pose[1]:.6f},{cmd.source.value},{a},"
-            f"{cmd.v_x:.6f},{cmd.v_y:.6f},{cmd.w_z:.6f},{depth},{'|'.join(events)}"
+        depth = "" if self.roi_depth is None else "%.3f" % self.roi_depth
+        return _ROW % (
+            st.time, rx, ry, rth, hx, hy, cmd.source.value, a,
+            cmd.v_x, cmd.v_y, cmd.w_z, depth, "|".join(events),
         )
 
     def _finish(self) -> EpisodeReport:

@@ -111,7 +111,12 @@ class Scene:
             raise ValueError("corridor bounds are empty")
         if np.any(self.goal < lo) or np.any(self.goal > hi):
             raise ValueError("goal lies outside corridor bounds")
+        seen = set()
         for ob in self.obstacles:
+            # collision state is kept per (agent, obstacle id), so an id names one obstacle
+            if ob.obstacle_id in seen:
+                raise ValueError(f"obstacle {ob.obstacle_id}: id is used by an earlier obstacle")
+            seen.add(ob.obstacle_id)
             if ob.kind is ObstacleKind.OVERHEAD and ob.z_min <= robot_clearance_m:
                 raise ValueError(
                     f"obstacle {ob.obstacle_id}: overhead but z_min {ob.z_min} "

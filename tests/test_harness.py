@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
+from crossnav import cli
 from crossnav.harness import (
     ConditionSummary,
     ParseError,
@@ -197,6 +198,25 @@ class TestSchema:
         raw["scene"]["goal_m"] = [7.0, 0.0]  # outside the corridor
         with pytest.raises(ValidationError):
             build_config(raw)
+
+    def test_repeated_obstacle_ids_are_refused(self, tmp_path, capsys):
+        raw = minimal_raw()
+        cab = {"shape": "box", "center_m": [1.0, 1.0], "half_extents_m": [0.3, 0.3], "z_span_m": [0.0, 0.9]}
+        raw["scene"]["obstacles"] = [dict(cab, id="cab"), dict(cab, id="cab", center_m=[2.5, -1.0])]
+        with pytest.raises(ValidationError, match="cab"):
+            build_config(raw)
+        path = tmp_path / "twin_cabs.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["check", "--scenario", str(path)]) == 2
+        assert "cab" in capsys.readouterr().err
+        # a config built in code is refused when its episode starts
+        raw["scene"]["obstacles"][1]["id"] = "cab2"
+        config = build_config(raw)
+        first, second = config.scene.obstacles
+        twins = dataclasses.replace(config.scene, obstacles=(first, dataclasses.replace(second, obstacle_id="cab")))
+        with pytest.raises(ConfigError, match="cab"):
+            run_episode(dataclasses.replace(config, scene=twins), Condition.UNASSISTED, 0, tmp_path)
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_sentinel_enabled_must_be_boolean(self):
         raw = minimal_raw()

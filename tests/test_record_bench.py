@@ -1,5 +1,6 @@
-"""tools/record_bench.py keeps a record going when one run's output is not a result."""
+"""tools/record_bench.py: runs without a result, and the normalised per-layer times."""
 
+import ast
 import importlib.util
 import subprocess
 from pathlib import Path
@@ -40,3 +41,40 @@ def test_a_json_last_line_is_the_result(monkeypatch):
 def test_a_failed_run_records_no_result(monkeypatch):
     monkeypatch.setattr(record_bench.subprocess, "run", fake_run('{"correct": true}\n', returncode=1))
     assert record_bench._run("walker", 1, 0, 35)["result"] is None
+
+
+def traced(ref_loop_ms, step_ms, engine_self_s):
+    values = {
+        "sim.step_ms": step_ms,
+        "sim.step_ms.n": 100,
+        "sim.engine_self_s": engine_self_s,
+        "sim.physics_ticks": 100,
+        "run.ref_loop_ms": ref_loop_ms,
+    }
+    return {"result": {"metrics": {name: {"value": v} for name, v in values.items()}}}
+
+
+def test_traced_times_are_scaled_to_the_reference_loop():
+    runs = [
+        traced(34.0, 0.02, 3.0),
+        traced(17.0, 0.01, 2.0),
+        traced(8.5, 0.004, 0.5),
+        # an untraced run reports no reference loop and counts for nothing here
+        {"result": {"metrics": {"norm_wall_s": {"value": 5.0}}}},
+        {"result": None},
+    ]
+    got = record_bench._normalised_medians(runs)
+    # per run: 0.01, 0.01, 0.008 ms and 1.5, 2.0, 1.0 s
+    assert got == {"sim.engine_self_s": pytest.approx(1.5), "sim.step_ms": pytest.approx(0.01)}
+    # the raw medians stay as they were
+    assert record_bench._medians(runs)["sim.step_ms"] == 0.01
+
+
+def test_the_scale_is_the_benchmark_reference_loop():
+    tree = ast.parse((_PATH.parents[1] / "bench" / "run.py").read_text())
+    (ref_loop_s,) = [
+        node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["REF_LOOP_S"]
+    ]
+    assert record_bench.REF_LOOP_MS == ref_loop_s * 1e3

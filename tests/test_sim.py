@@ -3,13 +3,16 @@
 import csv
 import dataclasses
 import math
+import random
+import struct
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from crossnav import sim
-from crossnav.arbiter import ArbiterConfig
+from crossnav.arbiter import ArbiterConfig, ArbitrationDecision
 from crossnav.geometry import FrameId, RigidTransform
 from crossnav.human_branch import HumanSafetyParams, detect_hazard
 from crossnav.perception import nonfree_centers
@@ -52,6 +55,8 @@ from crossnav.sim import (
     unique_cells,
 )
 from crossnav.world import Obstacle, ObstacleKind, ObstacleShape, Scene
+
+import parent_physics
 
 
 def box(center, half, z=(0.0, 0.5), kind=ObstacleKind.GROUND, oid="b"):
@@ -220,6 +225,129 @@ class TestDriveHuman:
         np.testing.assert_allclose(s1.human_pose, [0.01, 0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(s1.robot_pose, state.robot_pose)
         assert s1.robot_vel is state.robot_vel
+
+
+class TestScalarPhysicsIsExact:
+    """``step`` and ``human_follower`` on floats give the bytes of the array code.
+
+    The reference is the array code itself, kept verbatim in
+    ``tests/parent_physics.py``. The random states put poses on and beyond
+    every corridor wall (the human's margin is its body radius, the
+    robot's 0), signed zeros on walls at zero, headings within 1e-12 of
+    +-pi, leash distances below 1e-9, and both values of ``drive_human``.
+    """
+
+    CASES = 24_000
+
+    @staticmethod
+    def coordinate(r, lo, hi, margin):
+        pick = r.randrange(6)
+        if pick == 0:
+            return r.uniform(lo, hi)
+        if pick == 1:
+            return r.choice((lo, hi, lo + margin, hi - margin))  # on a wall
+        if pick == 2:
+            return lo - margin - r.uniform(0.0, 1.0)  # beyond the low wall
+        if pick == 3:
+            return hi - margin + r.uniform(0.0, 1.0)  # beyond the high wall
+        if pick == 4:
+            return r.choice((0.0, -0.0))
+        return r.uniform(lo, hi) + r.uniform(-1e-12, 1e-12)
+
+    @staticmethod
+    def bound(r, margin, sign):
+        """A wall coordinate: random, on a 1/8 m grid, or one that puts the wall at +-0."""
+        pick = r.randrange(4)
+        if pick == 0:
+            return sign * r.uniform(0.5, 6.0)
+        if pick == 1:
+            return sign * r.randrange(1, 48) / 8.0
+        if pick == 2:
+            return -sign * margin  # the human's wall at zero
+        return r.choice((0.0, -0.0))  # the robot's wall at zero
+
+    @staticmethod
+    def heading(r):
+        pick = r.randrange(4)
+        if pick == 0:
+            return r.uniform(-math.pi, math.pi)
+        if pick == 1:
+            return r.choice((math.pi, -math.pi)) + r.uniform(-1e-12, 1e-12)
+        if pick == 2:
+            return r.choice((math.pi, -math.pi, 0.0, -0.0))
+        return r.choice((1.0, -1.0)) * (math.pi - r.randrange(0, 5) * 1e-13)
+
+    @staticmethod
+    def component(r, scale):
+        pick = r.randrange(4)
+        if pick == 0:
+            return r.choice((0.0, -0.0))
+        if pick == 1:
+            return np.float64(r.uniform(-scale, scale))
+        return r.uniform(-scale, scale)
+
+    def random_case(self, r):
+        body = r.choice((0.18, 0.25, 0.0, r.uniform(0.0, 0.4)))
+        margin = r.choice((body, 0.0))
+        lo = [self.bound(r, margin, -1.0) for _ in range(2)]
+        hi = [self.bound(r, margin, 1.0) for _ in range(2)]
+        scene = dataclasses.replace(
+            EMPTY, corridor_min=np.array(lo), corridor_max=np.array(hi),
+            body_radius_m=body, leash_length_m=r.uniform(0.6, 1.5),
+        )
+        robot_margin, human_margin = (0.0, body) if r.random() < 0.5 else (body, 0.0)
+        robot = [self.coordinate(r, lo[i], hi[i], robot_margin) for i in range(2)] + [self.heading(r)]
+        pick = r.randrange(4)
+        if pick == 0:  # leash distance below 1e-9, or none at all
+            size = r.choice((0.0, r.uniform(0.0, 1e-9), 1e-9 * (1.0 - 1e-16)))
+            angle = r.uniform(-math.pi, math.pi)
+            human = [robot[0] + size * math.cos(angle), robot[1] + size * math.sin(angle)]
+        elif pick == 1:  # exactly leash length along an axis
+            human = [robot[0] - scene.leash_length_m, robot[1]]
+        else:
+            human = [self.coordinate(r, lo[i], hi[i], human_margin) for i in range(2)]
+        human.append(self.heading(r))
+        state = WorldState(
+            time=r.choice((0.0, r.uniform(0.0, 120.0), 72.86000000000264)),
+            robot_pose=np.array(robot),
+            robot_vel=cmd(),
+            human_pose=np.array(human),
+            human_bend=BendPose.UPRIGHT,
+        )
+        v_cmd = cmd(self.component(r, 1.5), self.component(r, 0.6), self.component(r, 3.0))
+        follower = r.choice((None, FollowerParams(scene.leash_length_m, r.uniform(0.5, 4.0), r.uniform(0.2, 2.0))))
+        dt = r.choice((0.02, r.uniform(1e-3, 0.1)))
+        return state, v_cmd, dt, scene, follower, r.random() < 0.5
+
+    def test_step_and_follower_match_the_array_code_bytewise(self):
+        r = random.Random(20261019)
+        seen = dict.fromkeys(("drive_human", "follow", "walls", "signed_zero_walls", "short_leash", "near_pi"), 0)
+        for i in range(self.CASES):
+            state, v_cmd, dt, scene, follower, drive_human = self.random_case(r)
+            args = (state, v_cmd, dt, scene, follower, drive_human)
+            got, want = step(*args), parent_physics.step(*args)
+            for name in ("robot_pose", "human_pose"):
+                new, old = getattr(got, name), getattr(want, name)
+                assert new.dtype == np.float64 and new.shape == (3,), (i, name)
+                assert new.tobytes() == old.tobytes(), (i, name, args, new, old)
+                assert new is not getattr(state, name)
+            assert struct.pack("d", got.time) == struct.pack("d", want.time), i
+            assert got.robot_vel is want.robot_vel and got.human_bend is want.human_bend
+            if not drive_human:
+                params = follower or FollowerParams(scene.leash_length_m, 2.0, 1.5)
+                new = np.array(human_follower(state, params, dt))
+                assert new.tobytes() == parent_physics.human_follower(state, params, dt).tobytes(), i
+            seen["drive_human" if drive_human else "follow"] += 1
+            walls = set(scene.corridor_min.tolist() + scene.corridor_max.tolist())
+            walls |= {w + s * scene.body_radius_m for w in walls for s in (1, -1)}
+            on_walls = [v for v in got.robot_pose[:2].tolist() + got.human_pose[:2].tolist() if v in walls]
+            seen["walls"] += bool(on_walls)
+            seen["signed_zero_walls"] += any(v == 0.0 for v in on_walls)
+            gap = state.robot_pose[:2] - state.human_pose[:2]
+            seen["short_leash"] += (not drive_human) and float(np.hypot(gap[0], gap[1])) < 1e-9
+            seen["near_pi"] += any(abs(abs(p[2]) - math.pi) <= 1e-12 for p in (state.robot_pose, state.human_pose))
+        # every region the docstring names was reached, many times over
+        assert min(seen.values()) > 300, seen
 
 
 class TestCameraPoses:
@@ -588,9 +716,7 @@ class TestCollisionBroadPhase:
         sim_params = SimParams(robot_radius_m=length(0.15, 0.35), robot_height_m=length(0.3, 0.6))
         head_h = length(1.5, 1.9)
         n = int(rng.integers(1, 8))
-        ids = [f"o{i}" for i in range(n)]
-        if n > 1 and rng.random() < 0.3:
-            ids[int(rng.integers(1, n))] = ids[0]  # a repeated id shares its contact
+        ids = [f"o{i}" for i in range(n)]  # unique, as Scene.validate requires
         obstacles = []
         for oid in ids:
             center = (length(-2.0, 2.0), length(-1.0, 1.0))
@@ -823,6 +949,67 @@ class TestConfigValidation:
 
 MINI = scene_of([box((1.8, 0.15), (0.2, 0.2), oid="bin")])
 LAMP_MINI = scene_of([cyl((2.0, 0.0), 0.25, (1.6, 1.8), oid="lamp")], goal=(4.0, 0.0))
+
+
+class TestFormatRow:
+    """The ``%`` template of ``_format_row`` writes the bytes of the f-string it replaced."""
+
+    @staticmethod
+    def f_string_row(st, cmd, decision, roi_depth, events):
+        # the row as the f-string wrote it, verbatim
+        a = decision.a if decision is not None else 0
+        depth = "" if roi_depth is None else f"{roi_depth:.3f}"
+        return (
+            f"{st.time:.3f},{st.robot_pose[0]:.6f},{st.robot_pose[1]:.6f},{st.robot_pose[2]:.6f},"
+            f"{st.human_pose[0]:.6f},{st.human_pose[1]:.6f},{cmd.source.value},{a},"
+            f"{cmd.v_x:.6f},{cmd.v_y:.6f},{cmd.w_z:.6f},{depth},{'|'.join(events)}"
+        )
+
+    @staticmethod
+    def edge_values():
+        """np.float64 values on and one ulp either side of the rounding edges of %.6f and %.3f."""
+        edges = [0.0, 5e-7, 2.5e-7, 1.5e-6, 0.0005, 1.0005, 2.0000005, 12.3456785, 72.86000000000264]
+        edges += [(k + 0.5) * 1e-6 for k in range(-4, 4)] + [1e6 + 5e-7, math.pi]
+        out = []
+        for e in edges:
+            for v in (e, np.nextafter(e, math.inf), np.nextafter(e, -math.inf)):
+                out += [np.float64(v), np.float64(-v)]
+        return out
+
+    def test_rows_match_the_f_string_bytewise(self):
+        values = self.edge_values()
+        rng = np.random.default_rng(7)
+        events_cases = ([], ["goal"], ["collision:overhead:lamp", "robot_contact:cab", "timeout"])
+
+        def pick():
+            if rng.random() < 0.8:
+                return values[int(rng.integers(len(values)))]
+            return np.float64(rng.normal(0.0, 5.0))
+
+        for i in range(2000):
+            state = WorldState(
+                time=pick(),
+                robot_pose=np.array([pick(), pick(), pick()]),
+                robot_vel=cmd(),
+                human_pose=np.array([pick(), pick(), pick()]),
+                human_bend=BendPose.UPRIGHT,
+            )
+            source = CommandSource.WALKER if i % 2 else CommandSource.HUMAN
+            executed = VelocityCommand(pick(), pick(), pick(), 0.0, source)
+            decision = None if i % 3 == 0 else ArbitrationDecision(i % 2, executed, 0.0)
+            roi_depth = (None, pick(), float(pick()), np.float64(math.inf))[i % 4]
+            events = events_cases[i % 3]
+            episode = types.SimpleNamespace(state=state, executed=executed, decision=decision, roi_depth=roi_depth)
+            got = _Episode._format_row(episode, events)
+            assert got == self.f_string_row(state, executed, decision, roi_depth, events), i
+        negative_zero = _Episode._format_row(
+            types.SimpleNamespace(
+                state=world_state(robot=(-0.0, -1e-9, 0.0), human=(-0.0, 0.0, 0.0)),
+                executed=cmd(-0.0), decision=None, roi_depth=None,
+            ),
+            [],
+        )
+        assert negative_zero == "0.000,-0.000000,-0.000000,0.000000,-0.000000,0.000000,apf,0,-0.000000,0.000000,0.000000,,"
 
 
 class TestRunEpisode:

@@ -112,6 +112,11 @@ class TestScene:
         with pytest.raises(ValueError, match="blocker"):
             s.validate(robot_clearance_m=0.5)
 
+    def test_validate_repeated_obstacle_id(self):
+        s = scene_of(box("cab", 2.0, 0.0, 0.3, 0.3, 0.0, 0.9), box("cab", 4.0, 0.0, 0.3, 0.3, 0.0, 0.9))
+        with pytest.raises(ValueError, match="cab"):
+            s.validate(robot_clearance_m=0.5)
+
     def test_only_kind(self):
         s = scene_of(
             box("cab", 2.0, 0.0, 0.3, 0.3, 0.0, 0.9),

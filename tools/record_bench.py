@@ -15,6 +15,9 @@ the per-layer metrics), each for the file's ``run_seconds``. It then writes
 - every run's arguments, exit status and JSON line
 - per workload, the median of every metric over its runs, and whether all
   runs were correct with no failed episode
+- per workload, the medians of the traced runs' times (``*_ms`` and ``*_s``)
+  normalised like ``norm_wall_s``: each run's figure × ``REF_LOOP_MS`` / its
+  ``run.ref_loop_ms``, so that host drift between runs cancels out of them
 
 A record takes about ``len(SEEDS) * 3 * 2 * run_seconds`` seconds (11 min).
 The host's other load moves the raw times; the normalised ones less so.
@@ -32,6 +35,8 @@ import numpy as np
 
 #: fixed seeds of every record; the study runs its own fixed seeds whatever these are
 SEEDS = (1, 2, 3)
+#: nominal ms of bench/run.py's reference loop (its REF_LOOP_S), the scale of normalised times
+REF_LOOP_MS = 17.0
 
 
 def _git(*args: str) -> str:
@@ -70,6 +75,23 @@ def _medians(runs: list) -> dict:
     return {name: statistics.median(v) for name, v in sorted(values.items())}
 
 
+def _normalised_medians(runs: list) -> dict:
+    """Medians over the traced runs of each time figure × REF_LOOP_MS / that run's reference loop.
+
+    Only traced runs report ``run.ref_loop_ms``; the loop's own figure is left out.
+    """
+    values: dict = {}
+    for run in runs:
+        metrics = (run["result"] or {}).get("metrics", {})
+        ref_ms = metrics.get("run.ref_loop_ms", {}).get("value")
+        if not ref_ms:
+            continue
+        for name, metric in metrics.items():
+            if name.endswith(("_ms", "_s")) and name != "run.ref_loop_ms":
+                values.setdefault(name, []).append(metric["value"] * REF_LOOP_MS / ref_ms)
+    return {name: statistics.median(v) for name, v in sorted(values.items())}
+
+
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
@@ -91,6 +113,7 @@ def main() -> int:
             "correct": all(r["result"] is not None and r["result"]["correct"] for r in mine),
             "failed": sum((r["result"] or {}).get("failed", 0) for r in mine),
             "medians": _medians(mine),
+            "normalised_medians": _normalised_medians(mine),
         }
     record = {
         "label": label,
