@@ -298,12 +298,14 @@ def human_follower(state: WorldState, params: FollowerParams, dt: float) -> Tupl
 
 def _clamp_to_corridor(x: float, y: float, scene: Scene, margin: float) -> Tuple[float, float]:
     # bound first: on a tie the wall's own value wins, signed zero included,
-    # as in numpy's float64 minimum/maximum on x86
+    # as in numpy's float64 minimum/maximum on x86; a NaN passes through as
+    # it does there, where min/max would put it on the low wall
     (lo_x, lo_y), (hi_x, hi_y) = scene.corridor_min.tolist(), scene.corridor_max.tolist()
-    return (
-        min(hi_x - margin, max(lo_x + margin, x)),
-        min(hi_y - margin, max(lo_y + margin, y)),
-    )
+    if x == x:
+        x = min(hi_x - margin, max(lo_x + margin, x))
+    if y == y:
+        y = min(hi_y - margin, max(lo_y + margin, y))
+    return x, y
 
 
 def step(
@@ -550,28 +552,26 @@ class CollisionTracker:
     ``_REACH_SLACK_M``)². ``update`` runs the exact footprint test only on
     pairs whose centres are within reach, so its booleans are those of
     ``Obstacle.overlaps_vertical_cylinder``. Contact is kept per (agent,
-    obstacle id), which ``Scene.validate`` makes unique.
+    obstacle id), so a scene that uses an id twice is refused.
     """
 
     def __init__(self, scene: Scene, sim: SimParams, robot_enabled: bool = True):
+        scene.check_unique_ids()
         self.sim = sim
         self.robot_enabled = robot_enabled
         agents = [("human", scene.body_radius_m, scene.head_height_m)]
         if robot_enabled:
             agents.append(("robot", sim.robot_radius_m, sim.robot_height_m))
 
-        # one pair list per agent; ``order`` numbers the pairs in obstacle
-        # order, human before robot, which is the order events come out in
-        self._pairs: Dict[str, list] = {agent: [] for agent, _, _ in agents}
-        order = 0
+        # obstacle order, human before robot: the order events come out in
+        self._pairs = []
         for ob in scene.obstacles:
             cx, cy = ob.center.tolist()
             for agent, radius, height in agents:
                 if ob.z_min >= height or ob.z_max <= 0.0:
                     continue  # the z test of overlaps_vertical_cylinder: never over
                 reach_sq = (ob.circumradius + radius + _REACH_SLACK_M) ** 2
-                self._pairs[agent].append((order, (agent, ob.obstacle_id), ob, cx, cy, reach_sq, radius))
-                order += 1
+                self._pairs.append(((agent, ob.obstacle_id), agent == "robot", ob, cx, cy, reach_sq, radius))
         self._touching: set = set()  # (agent, obstacle_id) keys in contact
         self._last_event: Dict[Tuple[str, str], float] = {}
 
@@ -579,28 +579,28 @@ class CollisionTracker:
         return any(key[0] == agent for key in self._touching)
 
     def update(self, now: float, human_xy: np.ndarray, robot_xy: Optional[np.ndarray]) -> List[CollisionEvent]:
-        events: List[Tuple[int, CollisionEvent]] = []
-        self._update_agent(self._pairs["human"], human_xy, now, events)
-        if robot_xy is not None and "robot" in self._pairs:
-            # with no robot position its contacts stand as they are
-            self._update_agent(self._pairs["robot"], robot_xy, now, events)
-        if len(events) > 1:
-            events.sort(key=lambda item: item[0])
-        return [ev for _, ev in events]
-
-    def _update_agent(self, pairs: list, xy: np.ndarray, now: float, events: list) -> None:
-        x, y = xy.tolist()
-        for order, key, ob, cx, cy, reach_sq, radius in pairs:
+        events: List[CollisionEvent] = []
+        hx, hy = human_xy.tolist()
+        if robot_xy is not None:
+            rx, ry = robot_xy.tolist()
+        for key, is_robot, ob, cx, cy, reach_sq, radius in self._pairs:
+            if not is_robot:
+                xy, x, y = human_xy, hx, hy
+            elif robot_xy is None:
+                continue  # no robot position: its contacts stand as they are
+            else:
+                xy, x, y = robot_xy, rx, ry
             dx, dy = x - cx, y - cy
             if dx * dx + dy * dy <= reach_sq and ob.footprint_distance(xy) <= radius:
                 if key not in self._touching:
                     self._touching.add(key)
                     last = self._last_event.get(key)
                     if last is None or now - last >= self.sim.collision_debounce_s:
-                        events.append((order, CollisionEvent(now, key[0], ob.obstacle_id, ob.kind)))
+                        events.append(CollisionEvent(now, key[0], ob.obstacle_id, ob.kind))
                         self._last_event[key] = now
             else:
                 self._touching.discard(key)
+        return events
 
 
 def detect_collisions(state: WorldState, scene: Scene, tracker: CollisionTracker) -> List[CollisionEvent]:

@@ -111,12 +111,8 @@ class Scene:
             raise ValueError("corridor bounds are empty")
         if np.any(self.goal < lo) or np.any(self.goal > hi):
             raise ValueError("goal lies outside corridor bounds")
-        seen = set()
+        self.check_unique_ids()
         for ob in self.obstacles:
-            # collision state is kept per (agent, obstacle id), so an id names one obstacle
-            if ob.obstacle_id in seen:
-                raise ValueError(f"obstacle {ob.obstacle_id}: id is used by an earlier obstacle")
-            seen.add(ob.obstacle_id)
             if ob.kind is ObstacleKind.OVERHEAD and ob.z_min <= robot_clearance_m:
                 raise ValueError(
                     f"obstacle {ob.obstacle_id}: overhead but z_min {ob.z_min} "
@@ -124,6 +120,17 @@ class Scene:
                 )
             if ob.kind is ObstacleKind.GROUND and ob.footprint_distance(self.start_robot[:2]) <= 0:
                 raise ValueError(f"start pose intersects obstacle {ob.obstacle_id}")
+
+    def check_unique_ids(self) -> None:
+        """Raise ValueError naming the first obstacle id that an earlier obstacle uses.
+
+        Collision state is kept per (agent, obstacle id), so an id names one obstacle.
+        """
+        seen = set()
+        for ob in self.obstacles:
+            if ob.obstacle_id in seen:
+                raise ValueError(f"obstacle {ob.obstacle_id}: id is used by an earlier obstacle")
+            seen.add(ob.obstacle_id)
 
     def only_kind(self, kind: ObstacleKind) -> "Scene":
         """Copy of the scene keeping only obstacles of one kind (attribution helper)."""

@@ -235,6 +235,8 @@ class TestScalarPhysicsIsExact:
     every corridor wall (the human's margin is its body radius, the
     robot's 0), signed zeros on walls at zero, headings within 1e-12 of
     +-pi, leash distances below 1e-9, and both values of ``drive_human``.
+    Some commands and poses hold a NaN or an infinity, which must come out
+    as the array code gives them, not clamped onto a wall.
     """
 
     CASES = 24_000
@@ -307,6 +309,8 @@ class TestScalarPhysicsIsExact:
         else:
             human = [self.coordinate(r, lo[i], hi[i], human_margin) for i in range(2)]
         human.append(self.heading(r))
+        if r.random() < 0.03:
+            (robot if r.random() < 0.5 else human)[r.randrange(3)] = r.choice((math.nan, -math.nan))
         state = WorldState(
             time=r.choice((0.0, r.uniform(0.0, 120.0), 72.86000000000264)),
             robot_pose=np.array(robot),
@@ -314,14 +318,32 @@ class TestScalarPhysicsIsExact:
             human_pose=np.array(human),
             human_bend=BendPose.UPRIGHT,
         )
-        v_cmd = cmd(self.component(r, 1.5), self.component(r, 0.6), self.component(r, 3.0))
+        components = [self.component(r, 1.5), self.component(r, 0.6), self.component(r, 3.0)]
+        if r.random() < 0.1:
+            # an infinite turn rate would make math.cos raise in both versions
+            i = r.randrange(3)
+            components[i] = r.choice((math.nan, -math.nan) if i == 2 else (math.nan, -math.nan, math.inf, -math.inf))
+        v_cmd = cmd(*components)
         follower = r.choice((None, FollowerParams(scene.leash_length_m, r.uniform(0.5, 4.0), r.uniform(0.2, 2.0))))
         dt = r.choice((0.02, r.uniform(1e-3, 0.1)))
         return state, v_cmd, dt, scene, follower, r.random() < 0.5
 
+    @staticmethod
+    def same_bits(new, old):
+        """The same bytes, save that a NaN matches a NaN of either sign.
+
+        IEEE 754 leaves the sign of a NaN made from NaN operands open, and
+        it varies with the operand order the compiled code picks; the trace
+        writes every NaN as ``nan``.
+        """
+        nan = np.isnan(new)
+        return np.array_equal(nan, np.isnan(old)) and new[~nan].tobytes() == old[~nan].tobytes()
+
     def test_step_and_follower_match_the_array_code_bytewise(self):
         r = random.Random(20261019)
-        seen = dict.fromkeys(("drive_human", "follow", "walls", "signed_zero_walls", "short_leash", "near_pi"), 0)
+        seen = dict.fromkeys(
+            ("drive_human", "follow", "walls", "signed_zero_walls", "short_leash", "near_pi", "non_finite"), 0
+        )
         for i in range(self.CASES):
             state, v_cmd, dt, scene, follower, drive_human = self.random_case(r)
             args = (state, v_cmd, dt, scene, follower, drive_human)
@@ -329,14 +351,14 @@ class TestScalarPhysicsIsExact:
             for name in ("robot_pose", "human_pose"):
                 new, old = getattr(got, name), getattr(want, name)
                 assert new.dtype == np.float64 and new.shape == (3,), (i, name)
-                assert new.tobytes() == old.tobytes(), (i, name, args, new, old)
+                assert self.same_bits(new, old), (i, name, args, new, old)
                 assert new is not getattr(state, name)
             assert struct.pack("d", got.time) == struct.pack("d", want.time), i
             assert got.robot_vel is want.robot_vel and got.human_bend is want.human_bend
             if not drive_human:
                 params = follower or FollowerParams(scene.leash_length_m, 2.0, 1.5)
                 new = np.array(human_follower(state, params, dt))
-                assert new.tobytes() == parent_physics.human_follower(state, params, dt).tobytes(), i
+                assert self.same_bits(new, parent_physics.human_follower(state, params, dt)), i
             seen["drive_human" if drive_human else "follow"] += 1
             walls = set(scene.corridor_min.tolist() + scene.corridor_max.tolist())
             walls |= {w + s * scene.body_radius_m for w in walls for s in (1, -1)}
@@ -346,6 +368,9 @@ class TestScalarPhysicsIsExact:
             gap = state.robot_pose[:2] - state.human_pose[:2]
             seen["short_leash"] += (not drive_human) and float(np.hypot(gap[0], gap[1])) < 1e-9
             seen["near_pi"] += any(abs(abs(p[2]) - math.pi) <= 1e-12 for p in (state.robot_pose, state.human_pose))
+            seen["non_finite"] += not np.isfinite([v_cmd.v_x, v_cmd.v_y, v_cmd.w_z]).all() or not (
+                np.isfinite(state.robot_pose).all() and np.isfinite(state.human_pose).all()
+            )
         # every region the docstring names was reached, many times over
         assert min(seen.values()) > 300, seen
 
@@ -716,7 +741,7 @@ class TestCollisionBroadPhase:
         sim_params = SimParams(robot_radius_m=length(0.15, 0.35), robot_height_m=length(0.3, 0.6))
         head_h = length(1.5, 1.9)
         n = int(rng.integers(1, 8))
-        ids = [f"o{i}" for i in range(n)]  # unique, as Scene.validate requires
+        ids = [f"o{i}" for i in range(n)]  # unique: the tracker refuses a repeated id
         obstacles = []
         for oid in ids:
             center = (length(-2.0, 2.0), length(-1.0, 1.0))
@@ -788,6 +813,18 @@ class TestCollisionBroadPhase:
         # the probes did reach the boundary, and contacts did happen
         assert exact_boundary > 100
         assert events > 500
+
+    def test_a_repeated_obstacle_id_is_refused(self):
+        # height-disjoint twins: the second is out of the robot's reach, the first out of the head's
+        scene = scene_of(
+            [
+                box((1.0, 0.0), (0.2, 0.2), z=(0.0, 0.4), oid="cab"),
+                box((2.0, 0.5), (0.2, 0.2), z=(1.0, 1.4), kind=ObstacleKind.OVERHEAD, oid="cab"),
+            ]
+        )
+        for robot_enabled in (True, False):
+            with pytest.raises(ValueError, match="obstacle cab: id is used by an earlier obstacle"):
+                CollisionTracker(scene, SimParams(), robot_enabled)
 
 class TestUnassistedWalker:
     def quiet_sim(self):

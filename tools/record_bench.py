@@ -23,6 +23,7 @@ A record takes about ``len(SEEDS) * 3 * 2 * run_seconds`` seconds (11 min).
 The host's other load moves the raw times; the normalised ones less so.
 """
 
+import importlib.util
 import json
 import os
 import platform
@@ -35,8 +36,19 @@ import numpy as np
 
 #: fixed seeds of every record; the study runs its own fixed seeds whatever these are
 SEEDS = (1, 2, 3)
-#: nominal ms of bench/run.py's reference loop (its REF_LOOP_S), the scale of normalised times
-REF_LOOP_MS = 17.0
+
+
+def _bench_run_module():
+    """bench/run.py of this checkout, loaded without running its main."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: nominal ms of bench/run.py's reference loop, the scale of normalised times
+REF_LOOP_MS = _bench_run_module().REF_LOOP_S * 1e3
 
 
 def _git(*args: str) -> str:
