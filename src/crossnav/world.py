@@ -4,8 +4,11 @@ Obstacles are analytic solids (axis-aligned boxes and vertical cylinders)
 with explicit height extents, so a low obstacle and a hanging one differ
 only in [z_min, z_max]. Rendering is an exact per-pixel ray cast, which
 keeps both viewpoints deterministic and mesh-free. Each obstacle is cast only
-against the pixel window of its projected bounding box; the window holds every
-pixel whose ray can hit it, so the image is bitwise that of a full-image cast.
+against the pixel window of the part of its bounding box in front of the
+camera; the window holds every pixel whose ray can hit it, so the image is
+bitwise that of a full-image cast. A box that straddles the camera plane is
+bounded by its in-front corners, and its window runs to an image edge only on
+a side that the box's section with the camera plane reaches.
 """
 
 from __future__ import annotations
@@ -264,25 +267,45 @@ def _raycast_cylinders(origin, dirs, centers, radii, z_lims) -> np.ndarray:
 
 def _aabbs(obstacles: Sequence[Obstacle]):
     """World-frame axis-aligned bounds (lo, hi) of the obstacles, each (K, 3)."""
-    centers = np.array([ob.center for ob in obstacles])
-    half = np.array([ob.half_extents if ob.shape is ObstacleShape.BOX else (ob.radius, ob.radius)
-                     for ob in obstacles])
-    z = np.array([(ob.z_min, ob.z_max) for ob in obstacles])
-    return np.column_stack([centers - half, z[:, 0]]), np.column_stack([centers + half, z[:, 1]])
+    rows = []
+    for ob in obstacles:  # Python floats and one array build: this runs on every render
+        cx, cy = ob.center.tolist()
+        hx, hy = ob.half_extents.tolist() if ob.shape is ObstacleShape.BOX else (ob.radius, ob.radius)
+        rows.append((cx - hx, cy - hy, ob.z_min, cx + hx, cy + hy, ob.z_max))
+    bounds = np.array(rows, dtype=np.float64)
+    return bounds[:, :3], bounds[:, 3:]
 
 
 # which of (lo, hi) each of a box's 8 corners takes per axis
 _CORNER_PICKS = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], dtype=bool)
+# a box's 12 edges as corner index pairs: corners 4i + 2j + k differing in one bit
+_EDGE_A = np.array([0, 1, 2, 3, 0, 1, 4, 5, 0, 2, 4, 6])
+_EDGE_B = np.array([4, 5, 6, 7, 2, 3, 6, 7, 1, 3, 5, 7])
+# optical x or y (meters) within which a section point counts as on the axis;
+# it only widens windows, and sits far above the rounding of a crossing point
+_SECTION_TOL = 1e-9
 
 
 def _pixel_windows(lo, hi, origin, rotation, intr: CameraIntrinsics):
     """Per box [lo[k], hi[k]]: the pixel (rows, cols) slices whose rays can hit it, or None.
 
     The box corners go into the optical frame. A hit has optical depth
-    t > _EPS, so a box wholly at q_z <= 0 is never hit. A box wholly in front
-    projects inside the convex hull of its projected corners, padded here by
-    one pixel against rounding. A box straddling the camera plane has no
-    bounded projection and gets the full image.
+    t > _EPS, so it lies in the box's part at q_z > 0, and a box wholly at
+    q_z <= 0 is never hit. That part projects to a convex set, and u and v
+    are monotone along every segment of it, so:
+
+    - a box wholly in front projects inside the bounds of its projected
+      corners;
+    - a box straddling the camera plane projects inside the bounds of its
+      in-front corners, except that it is unbounded towards a side where its
+      section at q_z = 0 reaches that side: towards the last column when the
+      optical x of some crossing of a box edge with q_z = 0 exceeds
+      -_SECTION_TOL, towards column 0 when one is below +_SECTION_TOL, and
+      likewise rows with optical y. Near a section point at optical x < 0 the
+      projection runs off towards u = -inf only, so the other bound holds.
+
+    The bounds are padded by one pixel against rounding and clipped to the
+    image; a window that misses the image is None.
     """
     corners = np.where(_CORNER_PICKS, hi[:, None, :], lo[:, None, :])  # (K, 8, 3)
     q = (corners - origin) @ rotation
@@ -291,19 +314,31 @@ def _pixel_windows(lo, hi, origin, rotation, intr: CameraIntrinsics):
     with np.errstate(over="ignore"):  # q_z near 0 sends u, v towards +-inf
         u = intr.fx * q[..., 0] / qz + intr.cx
         v = intr.fy * q[..., 1] / qz + intr.cy
+    u_min, u_max, v_min, v_max = u.min(axis=1), u.max(axis=1), v.min(axis=1), v.max(axis=1)
+    fronts = in_front.tolist()
+    straddling = [k for k, front in enumerate(fronts) if any(front) and not all(front)]
+    if straddling:
+        qs, front = q[straddling], in_front[straddling]
+        a, b = qs[:, _EDGE_A], qs[:, _EDGE_B]  # (S, 12, 3) edge ends
+        crosses = (a[..., 2] > 0.0) != (b[..., 2] > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # edges that do not cross
+            section = a + (a[..., 2] / (a[..., 2] - b[..., 2]))[..., None] * (b - a)
+        for lows, highs, proj, axis in ((u_min, u_max, u, 0), (v_min, v_max, v, 1)):
+            s = section[..., axis]
+            low = np.where(front, proj[straddling], np.inf).min(axis=1)
+            high = np.where(front, proj[straddling], -np.inf).max(axis=1)
+            lows[straddling] = np.where((crosses & (s < _SECTION_TOL)).any(axis=1), -np.inf, low)
+            highs[straddling] = np.where((crosses & (s > -_SECTION_TOL)).any(axis=1), np.inf, high)
     # clip before the int cast: harmless for the window, and inf cannot be cast
-    u = np.clip(u, -2.0, intr.width + 1.0)
-    v = np.clip(v, -2.0, intr.height + 1.0)
-    c0 = np.maximum(np.floor(u.min(axis=1)) - 1, 0).astype(int).tolist()
-    c1 = np.minimum(np.ceil(u.max(axis=1)) + 1, intr.width - 1).astype(int).tolist()
-    r0 = np.maximum(np.floor(v.min(axis=1)) - 1, 0).astype(int).tolist()
-    r1 = np.minimum(np.ceil(v.max(axis=1)) + 1, intr.height - 1).astype(int).tolist()
-    full = slice(0, intr.height), slice(0, intr.width)
+    u_min, u_max = np.clip(u_min, -2.0, intr.width + 1.0), np.clip(u_max, -2.0, intr.width + 1.0)
+    v_min, v_max = np.clip(v_min, -2.0, intr.height + 1.0), np.clip(v_max, -2.0, intr.height + 1.0)
+    c0 = np.maximum(np.floor(u_min) - 1, 0).astype(int).tolist()
+    c1 = np.minimum(np.ceil(u_max) + 1, intr.width - 1).astype(int).tolist()
+    r0 = np.maximum(np.floor(v_min) - 1, 0).astype(int).tolist()
+    r1 = np.minimum(np.ceil(v_max) + 1, intr.height - 1).astype(int).tolist()
     windows = []
-    for k, front in enumerate(in_front.tolist()):
-        if not all(front):
-            windows.append(full if any(front) else None)
-        elif c0[k] > c1[k] or r0[k] > r1[k]:
+    for k, front in enumerate(fronts):
+        if not any(front) or c0[k] > c1[k] or r0[k] > r1[k]:
             windows.append(None)
         else:
             windows.append((slice(r0[k], r1[k] + 1), slice(c0[k], c1[k] + 1)))
@@ -315,10 +350,13 @@ def render_depth(
 ) -> DepthImage:
     """Ray-cast each obstacle against the pixels that can see it; depth is the optical Z of the hit.
 
-    Each reachable obstacle is cast only against the pixel window of its
-    projected bounding box (see ``_pixel_windows``): skipped when wholly behind
-    the camera or outside the image, the full image when it straddles the
-    camera plane. Pixels outside the window cannot hit it, the per-ray
+    Each obstacle whose bounding box is within reach of a ray is cast only
+    against the pixel window of the part of that box in front of the camera
+    (see ``_pixel_windows``): skipped when wholly behind the camera or outside
+    the image. A box straddling the camera plane is bounded by its in-front
+    corners, and its window runs to an image edge only on a side that its
+    section with the camera plane reaches, since a hit has positive optical
+    depth. Pixels outside the window cannot hit the obstacle, the per-ray
     arithmetic is the same as a full-image cast, and the per-pixel minimum
     is order-free, so the image is bitwise that of casting every pixel
     against every obstacle. When no obstacle is cast, no ray is built.
@@ -338,18 +376,21 @@ def render_depth(
     ), max(abs(-intr.cy / intr.fy), abs((intr.height - intr.cy) / intr.fy))
     reach = intr.max_range * float(np.sqrt(1.0 + corner[0] ** 2 + corner[1] ** 2))
 
-    def reachable(ob: Obstacle) -> bool:
-        planar = max(ob.footprint_distance(origin[:2]), 0.0)
-        z_gap = max(ob.z_min - origin[2], origin[2] - ob.z_max, 0.0)
-        return float(np.hypot(planar, z_gap)) <= reach
-
     t_best = np.full((intr.height, intr.width), np.inf)
-    visible = [ob for ob in scene.obstacles if reachable(ob)]
     cast = []
-    if visible:
-        lo, hi = _aabbs(visible)
-        windows = _pixel_windows(lo, hi, origin, rotation, intr)
-        cast = [item for item in zip(visible, windows, lo, hi) if item[1] is not None]
+    if scene.obstacles:
+        # distance from the origin to each bounding box, which is at most the
+        # obstacle's; the 1e-9 m slack against rounding only keeps obstacles
+        # whose hits all lie beyond max_range and so come out NaN
+        lo, hi = _aabbs(scene.obstacles)
+        gap = np.maximum(np.maximum(lo - origin, origin - hi), 0.0)
+        near = np.flatnonzero(np.sqrt((gap * gap).sum(axis=1)) <= reach + 1e-9)
+        if near.size:
+            lo, hi = lo[near], hi[near]
+            windows = _pixel_windows(lo, hi, origin, rotation, intr)
+            cast = [(scene.obstacles[k], window, ob_lo, ob_hi)
+                    for k, window, ob_lo, ob_hi in zip(near.tolist(), windows, lo, hi)
+                    if window is not None]
     if cast:
         # built only when some obstacle is cast, and always for the whole
         # image, so a ray's direction has the same bits whatever is cast;

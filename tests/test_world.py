@@ -295,14 +295,21 @@ class TestRenderCullingIsExact:
             assert window is None
             return "behind"
         if np.any(qz <= 0.0):
-            assert window == (slice(0, intr.height), slice(0, intr.width))
-            return "straddling"
+            if window is None:
+                return "straddling, off image"
+            # the box's section with the camera plane reaches a side in u and one in v
+            rows, cols = window
+            assert rows.start == 0 or rows.stop == intr.height
+            assert cols.start == 0 or cols.stop == intr.width
+            if window == (slice(0, intr.height), slice(0, intr.width)):
+                return "straddling, full image"
+            return "straddling, bounded"
         return "outside" if window is None else "inside"
 
     def test_matches_full_image_cast_bitwise(self, rng):
         intr = CameraIntrinsics.from_fov(width=64, height=48, hfov_deg=70.0, max_range=5.0)
         seen = set()
-        for trial in range(12):
+        for trial in range(24):
             yaw = rng.uniform(-np.pi, np.pi)
             cam = np.array([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(0.2, 1.5)])
             pose = camera_pose(cam, yaw=yaw, pitch=rng.uniform(-0.25, 0.25))
@@ -312,11 +319,13 @@ class TestRenderCullingIsExact:
             # (forward, lateral) of each obstacle centre, aimed at one culling branch each
             placements = [
                 (-rng.uniform(2.0, 3.0), rng.uniform(-1.0, 1.0)),  # behind the camera
-                (rng.uniform(-0.1, 0.1), side * rng.uniform(0.8, 1.5)),  # across its plane
+                (rng.uniform(-0.1, 0.1), side * rng.uniform(0.5, 1.5)),  # across its plane, beside
                 (rng.uniform(1.2, 1.8), -side * rng.uniform(3.0, 3.5)),  # beside the frustum
                 (rng.uniform(1.0, 3.5), rng.uniform(-0.5, 0.5)),  # in view
                 (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)),  # anywhere
             ]
+            if trial % 3 == 0:  # across its plane, around the camera: it hides the rest
+                placements.append((rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05)))
             obstacles = []
             for k, (f, lat) in enumerate(placements):
                 cx, cy = cam[:2] + f * fwd + lat * left
@@ -333,7 +342,88 @@ class TestRenderCullingIsExact:
             assert img.depth.tobytes() == _full_image_cast(scene, pose, intr).tobytes(), (
                 f"trial {trial}"
             )
-        assert seen == {"behind", "straddling", "outside", "inside"}
+        assert seen == {"behind", "straddling, bounded", "straddling, full image",
+                        "straddling, off image", "outside", "inside"}
+
+
+class TestWindowsHoldEveryHit:
+    """Every pixel whose ray hits a lone obstacle lies in that obstacle's window.
+
+    One obstacle per scene, so no nearer obstacle can hide a pixel that the
+    window misses. The draws favour boxes and cylinders across the camera
+    plane, and the cases where the window rule is tight: a box edge crossing
+    the camera plane within 1e-12 m of the optical axis, the camera inside a
+    box, and a box face at the camera's height.
+    """
+
+    def _scene(self, rng):
+        width, height = int(rng.integers(8, 41)), int(rng.integers(6, 31))
+        f = (width / 2.0) / np.tan(np.radians(rng.uniform(20.0, 150.0)) / 2.0)
+        intr = CameraIntrinsics(f, f * rng.uniform(0.7, 1.4), rng.uniform(0.0, width - 1e-9),
+                                rng.uniform(0.0, height - 1e-9), width, height, 5.0)
+        case = rng.choice(["across", "axis", "inside", "level", "anywhere"],
+                          p=[0.4, 0.15, 0.15, 0.15, 0.15])
+        axis_aligned = case in ("axis", "level") and rng.uniform() < 0.7
+        yaw = rng.integers(4) * np.pi / 2 if axis_aligned else rng.uniform(-np.pi, np.pi)
+        pitch = 0.0 if axis_aligned else rng.uniform(-1.2, 1.2)
+        cam = np.array([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(0.2, 1.5)])
+        pose = camera_pose(cam, yaw=yaw, pitch=pitch)
+        hx, hy = rng.uniform(0.05, 0.8, size=2)
+        z0 = rng.uniform(-0.5, 1.5)
+        z1 = z0 + rng.uniform(0.1, 1.5)
+        if case == "across":
+            fwd, lat = rng.uniform(-0.4, 0.4), rng.uniform(-1.5, 1.5)
+            cxy = cam[:2] + fwd * np.array([np.cos(yaw), np.sin(yaw)]) \
+                + lat * np.array([-np.sin(yaw), np.cos(yaw)])
+        elif case == "axis":
+            # one face plane within 1e-12 m of the camera, so edges cross near the axis
+            offset = rng.choice([0.0, 1e-13, -1e-13, 1e-12, -1e-12])
+            sign = rng.choice([-1.0, 1.0])
+            cxy = cam[:2] + rng.uniform(-0.5, 0.5, size=2)
+            axis = rng.integers(2)
+            cxy[axis] = cam[axis] + sign * ((hx, hy)[axis] + offset)
+            z0, z1 = cam[2] - rng.uniform(0.1, 1.0), cam[2] + rng.uniform(0.1, 1.0)
+        elif case == "inside":
+            cxy = cam[:2] + rng.uniform(-1.0, 1.0, size=2) * (hx, hy)
+            z0, z1 = cam[2] - rng.uniform(0.01, 1.0), cam[2] + rng.uniform(0.01, 1.0)
+        elif case == "level":
+            cxy = cam[:2] + rng.uniform(-1.0, 1.0, size=2)
+            if rng.uniform() < 0.5:
+                z0 = cam[2]
+                z1 = z0 + rng.uniform(0.1, 1.0)
+            else:
+                z1 = cam[2]
+                z0 = z1 - rng.uniform(0.1, 1.0)
+        else:
+            cxy = cam[:2] + rng.uniform(-2.0, 2.0, size=2)
+        if rng.uniform() < 0.3:
+            ob = cyl("c", cxy[0], cxy[1], max(hx, hy), z0, z1)
+        else:
+            ob = box("b", cxy[0], cxy[1], hx, hy, z0, z1)
+        return ob, pose, intr
+
+    def test_every_hit_pixel_lies_in_the_window(self):
+        rng = np.random.default_rng(20261019)
+        straddling = 0
+        for trial in range(800):
+            ob, pose, intr = self._scene(rng)
+            lo, hi = _aabbs([ob])
+            window = _pixel_windows(lo, hi, pose.translation, pose.rotation, intr)[0]
+            dirs = pixel_directions(intr) @ pose.rotation.T
+            if ob.shape is ObstacleShape.BOX:
+                t = _raycast_boxes(pose.translation, dirs, lo, hi)
+            else:
+                t = _raycast_cylinders(pose.translation, dirs, [ob.center], [ob.radius],
+                                       [(ob.z_min, ob.z_max)])
+            hit = np.isfinite(t).reshape(intr.height, intr.width)
+            if window is not None:
+                hit[window] = False
+            assert not hit.any(), f"trial {trial}: {ob} misses pixels {np.argwhere(hit)[:5]}"
+            corners = np.array([[x, y, z] for x in (lo[0, 0], hi[0, 0])
+                                for y in (lo[0, 1], hi[0, 1]) for z in (lo[0, 2], hi[0, 2])])
+            qz = (corners - pose.translation) @ pose.rotation[:, 2]
+            straddling += bool(qz.min() <= 0.0 < qz.max())
+        assert straddling > 400
 
 
 class TestRaysAreBuiltOnlyWhenCast:
@@ -345,7 +435,10 @@ class TestRaysAreBuiltOnlyWhenCast:
         behind = box("behind", -2.0, 0.0, 0.3, 0.3, 0.0, 2.0)
         beside = box("beside", 1.0, 3.0, 0.3, 0.3, 0.0, 2.0)
         far = box("far", 9.0, 0.0, 0.3, 0.3, 0.0, 2.0)
-        for scene in (scene_of(), scene_of(behind), scene_of(behind, beside, far)):
+        # across the camera plane, wholly beside the frustum
+        across = box("across", 0.0, 3.0, 0.3, 0.3, 0.0, 2.0)
+        for scene in (scene_of(), scene_of(behind), scene_of(behind, beside, far),
+                      scene_of(across)):
             img = render_depth(scene, pose, INTR)
             assert np.isnan(img.depth).all()
         assert built == []
