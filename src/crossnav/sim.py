@@ -202,17 +202,16 @@ class SimParams:
     costmap_memory_s: float = 1.5
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
-        if self.timeout_s <= 0:
-            raise ConfigError("timeout_s must be positive")
-        for name in ("planner_rate_hz", "chest_rate_hz", "walker_rate_hz"):
-            if getattr(self, name) <= 0:
+        for name in ("dt", "timeout_s", "planner_rate_hz", "chest_rate_hz", "walker_rate_hz",
+                     "follower_gain_hz", "human_speed_cap_mps", "robot_radius_m", "robot_height_m",
+                     "walker_speed_mps"):
+            if not getattr(self, name) > 0:  # NaN too
                 raise ConfigError(f"{name} must be positive")
-        if self.exec_min_command < 0 or self.depth_sigma_m < 0:
-            raise ConfigError("exec_min_command and depth_sigma_m must be non-negative")
-        if self.costmap_memory_s < 0:
-            raise ConfigError("costmap_memory_s must be non-negative")
+        for name in ("goal_tolerance_m", "exec_min_command", "stall_window_s", "stall_grace_s",
+                     "collision_debounce_s", "walker_heading_sigma_rad", "depth_sigma_m",
+                     "costmap_memory_s"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -236,7 +235,7 @@ class EpisodeConfig:
         try:
             self.scene.validate(robot_clearance_m=self.perception.z_band_high_m)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"scene: {exc}") from exc
         if self.jitter_xy_m < 0:
             raise ConfigError("jitter_xy_m must be non-negative")
         if self.bend_window_s is not None:

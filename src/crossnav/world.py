@@ -109,6 +109,9 @@ class Scene:
 
     def validate(self, robot_clearance_m: float) -> None:
         """Enforce scene invariants; raises ValueError naming the offender."""
+        for name in ("body_radius_m", "head_height_m", "chest_height_m"):
+            if not getattr(self, name) > 0:  # NaN too
+                raise ValueError(f"{name} must be positive")
         lo, hi = self.corridor_min, self.corridor_max
         if np.any(lo >= hi):
             raise ValueError("corridor bounds are empty")
@@ -189,79 +192,69 @@ class DepthImage:
 
 
 @functools.lru_cache(maxsize=8)
-def _pixel_dirs(fx: float, fy: float, cx: float, cy: float, width: int, height: int) -> np.ndarray:
-    """Unnormalized optical-frame ray directions, (H*W, 3), z component = 1."""
-    u = np.arange(width, dtype=np.float64)
-    v = np.arange(height, dtype=np.float64)
-    xs = (u - cx) / fx
-    ys = (v - cy) / fy
-    gx, gy = np.meshgrid(xs, ys)
-    return np.stack([gx.ravel(), gy.ravel(), np.ones(width * height)], axis=1)
+def _ray_axes(intr: CameraIntrinsics):
+    """Optical (x per column, y per row) of the pixel rays (x, y, 1), read-only.
+
+    The ray of pixel (row v, column u) is (x[u], y[v], 1): unit optical z, so a
+    hit parameter t equals the optical depth.
+    """
+    x = (np.arange(intr.width, dtype=np.float64) - intr.cx) / intr.fx
+    y = (np.arange(intr.height, dtype=np.float64) - intr.cy) / intr.fy
+    x.flags.writeable = y.flags.writeable = False
+    return x, y
 
 
-def pixel_directions(intr: CameraIntrinsics) -> np.ndarray:
-    return _pixel_dirs(intr.fx, intr.fy, intr.cx, intr.cy, intr.width, intr.height)
-
-
-def _raycast_boxes(origin, dirs, bounds_min, bounds_max) -> np.ndarray:
-    """Nearest positive hit parameter per ray against K boxes; inf where none.
+def _raycast_box(origin, dx, dy, dz, lo, hi) -> np.ndarray:
+    """Nearest positive hit parameter of each ray (dx, dy, dz) against box [lo, hi]; inf where none.
 
     Rays with a zero direction component that start on a slab face are treated
     as inside that slab (fmin/fmax drop the resulting NaNs).
     """
+    ox, oy, oz = origin
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs  # (N, 3), +-inf on zero components
-    ix, iy, iz = inv[:, 0], inv[:, 1], inv[:, 2]
-    ox, oy, oz = origin
-    best = np.full(dirs.shape[0], np.inf)
-    with np.errstate(invalid="ignore"):
-        for bmin, bmax in zip(bounds_min, bounds_max):
-            tx1 = (bmin[0] - ox) * ix
-            tx2 = (bmax[0] - ox) * ix
-            ty1 = (bmin[1] - oy) * iy
-            ty2 = (bmax[1] - oy) * iy
-            tz1 = (bmin[2] - oz) * iz
-            tz2 = (bmax[2] - oz) * iz
-            t_near = np.fmax(np.fmax(np.fmin(tx1, tx2), np.fmin(ty1, ty2)),
-                             np.fmin(tz1, tz2))
-            t_far = np.fmin(np.fmin(np.fmax(tx1, tx2), np.fmax(ty1, ty2)),
-                            np.fmax(tz1, tz2))
-            t = np.where(t_near > _EPS, t_near, t_far)  # origin inside: first exit
-            t[~((t_far >= t_near) & (t_far > _EPS))] = np.inf
-            np.minimum(best, t, out=best)
-    return best
+        ix, iy, iz = 1.0 / dx, 1.0 / dy, 1.0 / dz  # +-inf on zero components
+        tx1 = (lo[0] - ox) * ix
+        tx2 = (hi[0] - ox) * ix
+        ty1 = (lo[1] - oy) * iy
+        ty2 = (hi[1] - oy) * iy
+        tz1 = (lo[2] - oz) * iz
+        tz2 = (hi[2] - oz) * iz
+        t_near = np.fmax(np.fmax(np.fmin(tx1, tx2), np.fmin(ty1, ty2)), np.fmin(tz1, tz2))
+        t_far = np.fmin(np.fmin(np.fmax(tx1, tx2), np.fmax(ty1, ty2)), np.fmax(tz1, tz2))
+        t = np.where(t_near > _EPS, t_near, t_far)  # origin inside: first exit
+        t[~((t_far >= t_near) & (t_far > _EPS))] = np.inf
+    return t
 
 
-def _raycast_cylinders(origin, dirs, centers, radii, z_lims) -> np.ndarray:
-    """Nearest positive hit per ray against K vertical cylinders (sides and caps)."""
+def _raycast_cylinder(origin, dx, dy, dz, center, r, z1, z2) -> np.ndarray:
+    """Nearest positive hit of each ray (dx, dy, dz) against one vertical cylinder (sides and caps)."""
     ox, oy, oz = origin
-    dx, dy, dz = dirs[:, 0], dirs[:, 1], dirs[:, 2]
+    cx0, cy0 = center
     a = dx * dx + dy * dy
     a_ok = a > _EPS
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_a = np.where(a_ok, a, np.inf) ** -1.0
         inv_dz = 1.0 / dz  # +-inf on horizontal-plane-parallel rays
-    best = np.full(dirs.shape[0], np.inf)
+    best = np.full(a.shape, np.inf)
     with np.errstate(invalid="ignore"):
-        for (cx0, cy0), r, (z1, z2) in zip(centers, radii, z_lims):
-            px, py = ox - cx0, oy - cy0
-            half_b = px * dx + py * dy
-            c = px * px + py * py - r * r  # scalar: camera offset is per-cylinder
-            disc = half_b * half_b - a * c
-            ok = a_ok & (disc >= 0.0)
-            sq = np.sqrt(np.where(ok, disc, 0.0))
-            for sign in (-1.0, 1.0):
-                t = (sign * sq - half_b) * inv_a
-                z = oz + t * dz
-                t[~(ok & (t > _EPS) & (z >= z1) & (z <= z2))] = np.inf
-                np.minimum(best, t, out=best)
-            # caps
-            for z_cap in (z1, z2):
-                t = (z_cap - oz) * inv_dz
-                hx = ox + t * dx - cx0
-                hy = oy + t * dy - cy0
-                t[~(np.isfinite(t) & (t > _EPS) & (hx * hx + hy * hy <= r * r))] = np.inf
-                np.minimum(best, t, out=best)
+        px, py = ox - cx0, oy - cy0
+        half_b = px * dx + py * dy
+        c = px * px + py * py - r * r  # scalar: camera offset is per-cylinder
+        disc = half_b * half_b - a * c
+        ok = a_ok & (disc >= 0.0)
+        sq = np.sqrt(np.where(ok, disc, 0.0))
+        for sign in (-1.0, 1.0):
+            t = (sign * sq - half_b) * inv_a
+            z = oz + t * dz
+            t[~(ok & (t > _EPS) & (z >= z1) & (z <= z2))] = np.inf
+            np.minimum(best, t, out=best)
+        # caps
+        for z_cap in (z1, z2):
+            t = (z_cap - oz) * inv_dz
+            hx = ox + t * dx - cx0
+            hy = oy + t * dy - cy0
+            t[~(np.isfinite(t) & (t > _EPS) & (hx * hx + hy * hy <= r * r))] = np.inf
+            np.minimum(best, t, out=best)
     return best
 
 
@@ -356,10 +349,11 @@ def render_depth(
     the image. A box straddling the camera plane is bounded by its in-front
     corners, and its window runs to an image edge only on a side that its
     section with the camera plane reaches, since a hit has positive optical
-    depth. Pixels outside the window cannot hit the obstacle, the per-ray
-    arithmetic is the same as a full-image cast, and the per-pixel minimum
-    is order-free, so the image is bitwise that of casting every pixel
-    against every obstacle. When no obstacle is cast, no ray is built.
+    depth. Pixels outside the window cannot hit the obstacle, each ray is
+    built element-wise from its pixel's column and row so it has the same
+    bits in any window, and the per-pixel minimum is order-free, so the image
+    is bitwise that of casting every pixel against every obstacle. Rays are
+    built only for the pixels of a window.
 
     ``camera_pose_world`` must map an optical frame into the world frame.
     Pixels with no hit inside (0, max_range] are NaN. Pure and deterministic.
@@ -377,35 +371,32 @@ def render_depth(
     reach = intr.max_range * float(np.sqrt(1.0 + corner[0] ** 2 + corner[1] ** 2))
 
     t_best = np.full((intr.height, intr.width), np.inf)
-    cast = []
+    near = []
     if scene.obstacles:
         # distance from the origin to each bounding box, which is at most the
         # obstacle's; the 1e-9 m slack against rounding only keeps obstacles
         # whose hits all lie beyond max_range and so come out NaN
         lo, hi = _aabbs(scene.obstacles)
         gap = np.maximum(np.maximum(lo - origin, origin - hi), 0.0)
-        near = np.flatnonzero(np.sqrt((gap * gap).sum(axis=1)) <= reach + 1e-9)
-        if near.size:
-            lo, hi = lo[near], hi[near]
-            windows = _pixel_windows(lo, hi, origin, rotation, intr)
-            cast = [(scene.obstacles[k], window, ob_lo, ob_hi)
-                    for k, window, ob_lo, ob_hi in zip(near.tolist(), windows, lo, hi)
-                    if window is not None]
-    if cast:
-        # built only when some obstacle is cast, and always for the whole
-        # image, so a ray's direction has the same bits whatever is cast;
-        # dirs have unit optical-z, so the hit parameter t equals the optical depth
-        dirs = (pixel_directions(intr) @ rotation.T).reshape(intr.height, intr.width, 3)
-        for ob, window, ob_lo, ob_hi in cast:
-            win_dirs = dirs[window].reshape(-1, 3)
+        near = np.flatnonzero(np.sqrt((gap * gap).sum(axis=1)) <= reach + 1e-9).tolist()
+    if near:
+        windows = _pixel_windows(lo[near], hi[near], origin, rotation, intr)
+        x, y = _ray_axes(intr)
+        r = rotation.tolist()
+        for k, window in zip(near, windows):
+            if window is None:
+                continue
+            # the window's rays, element-wise from its columns and rows
+            rows, cols = window
+            xs, ys = x[cols], y[rows, None]
+            dx, dy, dz = (r[i][0] * xs + r[i][1] * ys + r[i][2] for i in range(3))
+            ob = scene.obstacles[k]
             if ob.shape is ObstacleShape.BOX:
-                t = _raycast_boxes(origin, win_dirs, [ob_lo], [ob_hi])
+                t = _raycast_box(origin, dx, dy, dz, lo[k], hi[k])
             else:
-                t = _raycast_cylinders(
-                    origin, win_dirs, [ob.center], [ob.radius], [(ob.z_min, ob.z_max)]
-                )
+                t = _raycast_cylinder(origin, dx, dy, dz, ob.center, ob.radius, ob.z_min, ob.z_max)
             best = t_best[window]
-            np.minimum(best, t.reshape(best.shape), out=best)
+            np.minimum(best, t, out=best)
 
     depth = np.where((t_best > 0) & (t_best <= intr.max_range), t_best, np.nan)
     return DepthImage(
@@ -432,8 +423,13 @@ def apply_depth_noise(img: DepthImage, sigma: float, rng: np.random.Generator) -
 
 def deproject(img: DepthImage) -> PointCloud:
     """Back-project valid pixels into an optical-frame point cloud (row-major order)."""
-    dirs = pixel_directions(img.intrinsics)
+    x, y = _ray_axes(img.intrinsics)
     flat = img.depth.ravel()
-    mask = np.isfinite(flat) & (flat > 0)
-    points = dirs[mask] * flat[mask, None]
+    index = np.flatnonzero(np.isfinite(flat) & (flat > 0))
+    rows, cols = np.divmod(index, img.intrinsics.width)
+    d = flat[index]
+    points = np.empty((index.size, 3))
+    np.multiply(x[cols], d, out=points[:, 0])
+    np.multiply(y[rows], d, out=points[:, 1])
+    points[:, 2] = d
     return PointCloud(points, img.frame, img.stamp)

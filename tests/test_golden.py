@@ -4,7 +4,9 @@ Determinism within one process run is checked elsewhere; this pins the bytes
 across code changes. It reruns a fixed matrix of shipped scenarios,
 conditions and seeds and compares the sha256 of each trace CSV and each
 announcement file with ``tests/data/golden_digests.txt``. One more episode,
-``NOISY``, runs with depth noise on, so the noise draws are pinned too.
+``NOISY``, runs with depth noise on, so the noise draws are pinned too. Where
+numpy's OpenBLAS picks its matrix kernel per CPU, one pinned episode is rerun
+under two kernels, so a trace that leans on BLAS rounding shows.
 
 Regenerate the file (only on purpose, and say why in CHANGES.md) with:
 
@@ -13,9 +15,13 @@ Regenerate the file (only on purpose, and say why in CHANGES.md) with:
 
 import dataclasses
 import hashlib
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crossnav.harness import load_scenario
@@ -84,6 +90,51 @@ def test_a_noisy_episode_matches_its_golden_digests(tmp_path):
     golden = {name: d for name, d in read_golden().items() if "_sigma" in name}
     assert len(golden) == 2  # the trace and its announcements
     assert noisy_digests(tmp_path) == golden
+
+
+def _openblas_picks_kernels_and_cpu_has_avx2() -> bool:
+    """True when numpy's OpenBLAS picks its kernel per CPU and this x86-64 CPU can run Haswell's."""
+    try:
+        config = np.show_config(mode="dicts")
+        blas = config["Build Dependencies"]["blas"]
+        x86 = config["Machine Information"]["host"]["cpu"] == "x86_64"
+        cpu_flags = Path("/proc/cpuinfo").read_text()
+    except (TypeError, KeyError, OSError):
+        return False
+    return (x86 and "openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+            and re.search(r"\bavx2\b", cpu_flags) is not None)
+
+
+#: runs the pinned canonical crossview seed 0 episode into argv[1], then prints
+#: the sha256 of 2,000 random 3x3 products, which shows which kernel ran
+_KERNEL_RUN = """
+import hashlib, sys
+import numpy as np
+from crossnav.harness import load_scenario
+from crossnav.sim import Condition, run_episode
+run_episode(load_scenario("canonical"), Condition.CROSS_VIEW, 0, sys.argv[1])
+a, b = np.random.default_rng(0).normal(size=(2, 2000, 3, 3))
+print(hashlib.sha256(b"".join((x @ y).tobytes() for x, y in zip(a, b))).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not _openblas_picks_kernels_and_cpu_has_avx2(),
+                    reason="needs numpy on OpenBLAS DYNAMIC_ARCH and an x86-64 CPU with avx2")
+def test_traces_do_not_depend_on_the_blas_kernel(tmp_path):
+    golden = {name: d for name, d in read_golden().items()
+              if name.startswith("canonical_crossview_seed0000")}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    products = set()
+    for kernel in ("Nehalem", "Haswell"):
+        out = tmp_path / kernel
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _KERNEL_RUN, str(out)], env=env,
+                             capture_output=True, text=True, check=True)
+        products.add(run.stdout.strip())
+        assert file_digests(out) == golden, kernel
+    assert len(products) == 2  # the two kernels really ran: their products differ in bits
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:

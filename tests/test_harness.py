@@ -218,6 +218,36 @@ class TestSchema:
             run_episode(dataclasses.replace(config, scene=twins), Condition.UNASSISTED, 0, tmp_path)
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "section, key, value, rule",
+        [
+            ("sim", "robot_radius_m", 0.0, "positive"),
+            ("sim", "robot_height_m", -0.4, "positive"),
+            ("sim", "follower_gain_hz", 0.0, "positive"),
+            ("sim", "human_speed_cap_mps", -1.5, "positive"),
+            ("sim", "walker_speed_mps", 0.0, "positive"),
+            ("sim", "goal_tolerance_m", -0.2, "non-negative"),
+            ("sim", "stall_window_s", -2.0, "non-negative"),
+            ("sim", "stall_grace_s", -5.0, "non-negative"),
+            ("sim", "collision_debounce_s", -1.0, "non-negative"),
+            ("sim", "walker_heading_sigma_rad", -0.25, "non-negative"),
+            ("sim", "walker_heading_sigma_rad", math.nan, "non-negative"),
+            ("scene", "body_radius_m", -0.18, "positive"),
+            ("scene", "body_radius_m", math.nan, "positive"),
+            ("scene", "head_height_m", 0.0, "positive"),
+            ("scene", "chest_height_m", -1.3, "positive"),
+        ],
+    )
+    def test_out_of_range_body_and_sim_values_are_refused(self, section, key, value, rule, tmp_path, capsys):
+        raw = minimal_raw()
+        raw.setdefault(section, {})[key] = value
+        with pytest.raises(ValidationError, match=rf"^{section}: {key} must be {rule}$"):
+            build_config(raw)
+        path = tmp_path / "out_of_range.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["check", "--scenario", str(path)]) == 2
+        assert f"{section}: {key}" in capsys.readouterr().err
+
     def test_sentinel_enabled_must_be_boolean(self):
         raw = minimal_raw()
         raw["sentinel"] = {"enabled": "yes please"}

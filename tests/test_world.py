@@ -20,11 +20,11 @@ from crossnav.world import (
     Scene,
     _aabbs,
     _pixel_windows,
-    _raycast_boxes,
-    _raycast_cylinders,
+    _ray_axes,
+    _raycast_box,
+    _raycast_cylinder,
     apply_depth_noise,
     deproject,
-    pixel_directions,
     render_depth,
 )
 
@@ -145,11 +145,12 @@ class TestIntrinsics:
             CameraIntrinsics(100.0, 100.0, 200.0, 60.0, 160, 120, 5.0)
 
     def test_pixel_directions_center_ray(self):
-        dirs = pixel_directions(INTR)
-        assert dirs.shape == (INTR.width * INTR.height, 3)
-        center = dirs[int(INTR.cy) * INTR.width + int(INTR.cx)]
-        assert_allclose(center, [0.0, 0.0, 1.0], atol=1e-12)
-        assert_allclose(dirs[:, 2], 1.0)  # unit optical z: hit parameter == depth
+        # the ray of pixel (v, u) is (x[u], y[v], 1): unit optical z, so hit parameter == depth
+        x, y = _ray_axes(INTR)
+        assert x.shape == (INTR.width,) and y.shape == (INTR.height,)
+        assert_allclose([x[int(INTR.cx)], y[int(INTR.cy)]], [0.0, 0.0], atol=1e-12)
+        assert_allclose(np.diff(x), 1.0 / INTR.fx)
+        assert_allclose(np.diff(y), 1.0 / INTR.fy)
 
 
 class TestRenderExactCases:
@@ -228,10 +229,16 @@ def _march_depth(scene, origin, direction, max_range, step=1e-3):
     return np.inf
 
 
+def _full_image_rays(intr, rotation):
+    """World-frame ray components (dx, dy, dz) of every pixel, each (H, W), by render_depth's formula."""
+    x, y = _ray_axes(intr)
+    r = rotation.tolist()
+    return tuple(r[i][0] * x + r[i][1] * y[:, None] + r[i][2] for i in range(3))
+
+
 class TestRenderAgainstMarchOracle:
     def test_randomized_scenes(self, rng):
         intr = CameraIntrinsics.from_fov(width=32, height=24, hfov_deg=60.0, max_range=5.0)
-        dirs = pixel_directions(intr)
         for trial in range(4):
             obstacles = [
                 box("b0", rng.uniform(1.0, 4.0), rng.uniform(-1.5, 1.5),
@@ -243,7 +250,7 @@ class TestRenderAgainstMarchOracle:
             pose = camera_pose([0.0, rng.uniform(-0.5, 0.5), rng.uniform(0.2, 1.2)],
                                yaw=rng.uniform(-0.3, 0.3))
             img = render_depth(scene, pose, intr)
-            world_dirs = dirs @ pose.rotation.T
+            world_dirs = np.stack(_full_image_rays(intr, pose.rotation), axis=-1).reshape(-1, 3)
 
             pixels = rng.choice(intr.width * intr.height, size=60, replace=False)
             disagreements = 0
@@ -265,21 +272,18 @@ class TestRenderAgainstMarchOracle:
 
 def _full_image_cast(scene, pose, intr):
     """Every pixel against every obstacle: the unculled reference for render_depth."""
-    dirs = pixel_directions(intr) @ pose.rotation.T
+    rays = _full_image_rays(intr, pose.rotation)
     origin = pose.translation
-    t_best = np.full(dirs.shape[0], np.inf)
-    boxes = [ob for ob in scene.obstacles if ob.shape is ObstacleShape.BOX]
-    if boxes:
-        bmin = np.array([[*(ob.center - ob.half_extents), ob.z_min] for ob in boxes])
-        bmax = np.array([[*(ob.center + ob.half_extents), ob.z_max] for ob in boxes])
-        t_best = np.minimum(t_best, _raycast_boxes(origin, dirs, bmin, bmax))
-    cyls = [ob for ob in scene.obstacles if ob.shape is ObstacleShape.CYLINDER]
-    if cyls:
-        t_best = np.minimum(t_best, _raycast_cylinders(
-            origin, dirs, [ob.center for ob in cyls], [ob.radius for ob in cyls],
-            [(ob.z_min, ob.z_max) for ob in cyls]))
-    depth = np.where((t_best > 0) & (t_best <= intr.max_range), t_best, np.nan)
-    return depth.reshape(intr.height, intr.width)
+    t_best = np.full((intr.height, intr.width), np.inf)
+    for ob in scene.obstacles:
+        if ob.shape is ObstacleShape.BOX:
+            bmin = [*(ob.center - ob.half_extents), ob.z_min]
+            bmax = [*(ob.center + ob.half_extents), ob.z_max]
+            t = _raycast_box(origin, *rays, bmin, bmax)
+        else:
+            t = _raycast_cylinder(origin, *rays, ob.center, ob.radius, ob.z_min, ob.z_max)
+        t_best = np.minimum(t_best, t)
+    return np.where((t_best > 0) & (t_best <= intr.max_range), t_best, np.nan)
 
 
 class TestRenderCullingIsExact:
@@ -409,13 +413,12 @@ class TestWindowsHoldEveryHit:
             ob, pose, intr = self._scene(rng)
             lo, hi = _aabbs([ob])
             window = _pixel_windows(lo, hi, pose.translation, pose.rotation, intr)[0]
-            dirs = pixel_directions(intr) @ pose.rotation.T
+            rays = _full_image_rays(intr, pose.rotation)
             if ob.shape is ObstacleShape.BOX:
-                t = _raycast_boxes(pose.translation, dirs, lo, hi)
+                t = _raycast_box(pose.translation, *rays, lo[0], hi[0])
             else:
-                t = _raycast_cylinders(pose.translation, dirs, [ob.center], [ob.radius],
-                                       [(ob.z_min, ob.z_max)])
-            hit = np.isfinite(t).reshape(intr.height, intr.width)
+                t = _raycast_cylinder(pose.translation, *rays, ob.center, ob.radius, ob.z_min, ob.z_max)
+            hit = np.isfinite(t)
             if window is not None:
                 hit[window] = False
             assert not hit.any(), f"trial {trial}: {ob} misses pixels {np.argwhere(hit)[:5]}"
@@ -428,9 +431,10 @@ class TestWindowsHoldEveryHit:
 
 class TestRaysAreBuiltOnlyWhenCast:
     def test_a_scene_with_nothing_in_view_renders_no_return_and_builds_no_ray(self, monkeypatch):
-        built = []
-        original = world.pixel_directions
-        monkeypatch.setattr(world, "pixel_directions", lambda intr: built.append(intr) or original(intr))
+        built = []  # one entry per window of rays cast against an obstacle
+        for name in ("_raycast_box", "_raycast_cylinder"):
+            original = getattr(world, name)
+            monkeypatch.setattr(world, name, lambda *args, cast=original: built.append(args) or cast(*args))
         pose = camera_pose([0.0, 0.0, 1.0])  # looking along +x
         behind = box("behind", -2.0, 0.0, 0.3, 0.3, 0.0, 2.0)
         beside = box("beside", 1.0, 3.0, 0.3, 0.3, 0.0, 2.0)
@@ -464,6 +468,21 @@ class TestDeproject:
         cloud = deproject(img)
         assert cloud.stamp == 3.0
         assert_allclose(cloud.points, [[0.0, 0.0, 2.0]], atol=1e-12)
+
+    def test_points_are_the_axis_formula_bitwise(self, rng):
+        # non-square, off-centre principal point: rows and columns cannot be swapped unseen
+        intr = CameraIntrinsics(41.0, 37.0, 5.3, 17.9, 37, 23, 5.0)
+        depth = rng.uniform(0.01, intr.max_range, size=(intr.height, intr.width))
+        specials = [np.nan, 0.0, -0.0, -1.0, np.inf, -np.inf, intr.max_range, 1e-300]
+        picks = rng.choice(depth.size, size=(len(specials), 20), replace=False)
+        for value, where in zip(specials, picks):
+            depth.flat[where] = value
+        cloud = deproject(DepthImage(intr, depth, FrameId.OPTICAL_DOG))
+        x, y = _ray_axes(intr)
+        expected = [(x[c] * d, y[r] * d, d) for r in range(intr.height) for c in range(intr.width)
+                    if np.isfinite(d := depth[r, c]) and d > 0]
+        assert len(expected) == depth.size - 6 * 20
+        assert cloud.points.tobytes() == np.array(expected).tobytes()
 
 
 class TestDepthNoise:
