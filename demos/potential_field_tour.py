@@ -35,7 +35,7 @@ def box_outline(center, half, z=0.1, step=0.05) -> np.ndarray:
 def main() -> None:
     params = ApfParams()
     goal = np.array([4.0, 0.0])
-    cloud = PointCloud(box_outline((2.0, 0.1), (0.25, 0.25)), FrameId.ROBOT_BASE, 0.0)
+    cloud = PointCloud(box_outline((2.0, 0.1), (0.25, 0.25)), FrameId.ROBOT_BASE)
     grid = inflate(build_costmap(cloud, (-0.5, -2.0), 0.05, 110, 80), 0.2)
     print(f"one box at (2.0, 0.1); costmap has {len(nonfree_centers(grid))} non-free cells\n")
 

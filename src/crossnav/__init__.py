@@ -7,7 +7,7 @@ velocity overrides with strict priority over the planner, and a depth sentinel
 turns near-field geometry into spoken-style announcements.
 """
 
-from .arbiter import ArbiterConfig, ArbitrationDecision, LatestValueStore, arbitrate, command_norm
+from .arbiter import ArbiterConfig, ArbitrationDecision, arbitrate, command_norm
 from .geometry import (
     FrameId,
     FrameMismatch,

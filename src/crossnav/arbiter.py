@@ -2,15 +2,15 @@
 
 The human branch wins whenever its command magnitude exceeds the deadband;
 otherwise the planner drives. Selection is a hard switch, never a blend.
-Producers publish at their own rates into a keep-last-one store; the arbiter
-consumes the newest fresh value per branch at its own tick rate.
+Each branch's task keeps its newest command; the arbiter reads both at its
+own tick rate and drops any older than the staleness timeout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from .planner import CommandSource, VelocityCommand
 
@@ -38,7 +38,6 @@ def command_norm(cmd: VelocityCommand, char_length: float) -> float:
 class ArbitrationDecision:
     a: int  # 1 = human branch selected
     selected: VelocityCommand
-    stamp: float
 
     def __post_init__(self):
         if self.a not in (0, 1):
@@ -53,50 +52,22 @@ def arbitrate(
     The returned command is exactly one of the inputs.
     """
     a = 1 if command_norm(v_human, cfg.char_length) > cfg.epsilon else 0
-    selected = v_human if a == 1 else v_apf
-    return ArbitrationDecision(a, selected, max(v_apf.stamp, v_human.stamp))
+    return ArbitrationDecision(a, v_human if a == 1 else v_apf)
 
 
-class LatestValueStore:
-    """Keep-last-one channel per branch.
+def tick(
+    v_apf: Optional[VelocityCommand],
+    v_human: Optional[VelocityCommand],
+    now: float,
+    cfg: ArbiterConfig,
+) -> ArbitrationDecision:
+    """One arbiter cycle over each branch's newest command, None before its first.
 
-    Producers and the arbiter run as tasks of one single-threaded event
-    loop, so a publish never overlaps a read.
-    """
-
-    def __init__(self):
-        self._latest: Dict[CommandSource, VelocityCommand] = {}
-
-    def publish(self, cmd: VelocityCommand) -> None:
-        self._latest[cmd.source] = cmd
-
-    def latest(self, source: CommandSource) -> Optional[VelocityCommand]:
-        return self._latest.get(source)
-
-    def snapshot(self) -> Dict[CommandSource, VelocityCommand]:
-        return dict(self._latest)
-
-
-def tick(store: LatestValueStore, now: float, cfg: ArbiterConfig) -> ArbitrationDecision:
-    """One arbiter cycle over the newest per-branch values.
-
-    A branch older than the staleness timeout is treated as absent; with both
+    A command older than the staleness timeout is treated as absent; with both
     branches absent the executed command is a zero (stop) fail-safe.
     """
-    latest = store.snapshot()
-
-    def fresh(source: CommandSource) -> Optional[VelocityCommand]:
-        cmd = latest.get(source)
-        if cmd is None or now - cmd.stamp > cfg.staleness_timeout:
-            return None
-        return cmd
-
-    v_apf = fresh(CommandSource.APF)
-    v_human = fresh(CommandSource.HUMAN)
-    stop = VelocityCommand.zero(now, CommandSource.APF)
-    if v_human is not None:
-        decision = arbitrate(v_apf if v_apf is not None else stop, v_human, cfg)
-        return ArbitrationDecision(decision.a, decision.selected, now)
-    if v_apf is not None:
-        return ArbitrationDecision(0, v_apf, now)
-    return ArbitrationDecision(0, stop, now)
+    if v_apf is None or now - v_apf.stamp > cfg.staleness_timeout:
+        v_apf = VelocityCommand.zero(now, CommandSource.APF)
+    if v_human is None or now - v_human.stamp > cfg.staleness_timeout:
+        return ArbitrationDecision(0, v_apf)
+    return arbitrate(v_apf, v_human, cfg)

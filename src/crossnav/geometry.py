@@ -11,9 +11,8 @@ so ``compose(a, b)`` applies ``b`` first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -67,14 +66,14 @@ def _check_rotation(rotation: np.ndarray) -> np.ndarray:
 class RigidTransform:
     """SE(3) pose tagged with source and target frames.
 
-    ``stamp`` is simulation time in seconds; static extrinsics leave it None.
+    It carries no time: the simulation runs on one clock, and every task is
+    handed the current time directly.
     """
 
     rotation: np.ndarray
     translation: np.ndarray
     from_frame: FrameId
     to_frame: FrameId
-    stamp: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "rotation", _check_rotation(self.rotation))
@@ -84,8 +83,8 @@ class RigidTransform:
         object.__setattr__(self, "translation", t)
 
     @classmethod
-    def identity(cls, frame: FrameId, stamp: Optional[float] = None) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3), frame, frame, stamp)
+    def identity(cls, frame: FrameId) -> "RigidTransform":
+        return cls(np.eye(3), np.zeros(3), frame, frame)
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Map (N, 3) or (3,) coordinates from ``from_frame`` into ``to_frame``."""
@@ -119,20 +118,15 @@ def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
             f"cannot compose: left consumes {a.from_frame.value}, "
             f"right produces {b.to_frame.value}"
         )
-    stamp = a.stamp if a.stamp is not None else b.stamp
     return RigidTransform(
-        a.rotation @ b.rotation,
-        a.rotation @ b.translation + a.translation,
-        b.from_frame,
-        a.to_frame,
-        stamp,
+        a.rotation @ b.rotation, a.rotation @ b.translation + a.translation, b.from_frame, a.to_frame
     )
 
 
 def invert(t: RigidTransform) -> RigidTransform:
     """Inverse transform: swapped frames, R.T, -R.T @ t."""
     rot_inv = t.rotation.T
-    return RigidTransform(rot_inv, -rot_inv @ t.translation, t.to_frame, t.from_frame, t.stamp)
+    return RigidTransform(rot_inv, -rot_inv @ t.translation, t.to_frame, t.from_frame)
 
 
 def optical_to_physical(optical_frame: FrameId = FrameId.OPTICAL_DOG) -> RigidTransform:
@@ -159,7 +153,6 @@ class PointCloud:
 
     points: np.ndarray  # (N, 3) float64
     frame: FrameId
-    stamp: float = 0.0
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
@@ -171,8 +164,8 @@ class PointCloud:
         return self.points.shape[0]
 
     @classmethod
-    def empty(cls, frame: FrameId, stamp: float = 0.0) -> "PointCloud":
-        return cls(np.zeros((0, 3)), frame, stamp)
+    def empty(cls, frame: FrameId) -> "PointCloud":
+        return cls(np.zeros((0, 3)), frame)
 
 
 def transform_points(t: RigidTransform, cloud: PointCloud) -> PointCloud:
@@ -181,4 +174,4 @@ def transform_points(t: RigidTransform, cloud: PointCloud) -> PointCloud:
         raise FrameMismatch(
             f"cloud is in {cloud.frame.value}, transform consumes {t.from_frame.value}"
         )
-    return PointCloud(t.apply(cloud.points), t.to_frame, cloud.stamp)
+    return PointCloud(t.apply(cloud.points), t.to_frame)

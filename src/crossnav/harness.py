@@ -146,17 +146,28 @@ _VECTORS = {
 _TOP_KEYS = ("name", *_SCHEMA)
 
 
+def _finite(value, path: str) -> float:
+    """``float(value)``, refusing NaN, the infinities and integers too large for a float."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{path} must be finite")
+    return number
+
+
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{path} must be a number")
-    return float(value)
+    return _finite(value, path)
 
 
 def _vector(value, length: int, path: str) -> Tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or len(value) != length:
         raise ValidationError(f"{path} must be a list of {length} numbers")
     try:
-        return tuple(float(v) for v in value)
+        return tuple(_finite(v, path) for v in value)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{path} must be numeric") from exc
 

@@ -33,7 +33,7 @@ def passthrough_filter(cloud: PointCloud, z_min: float, z_max: float) -> PointCl
         raise FrameMismatch(f"passthrough expects robot_base cloud, got {cloud.frame.value}")
     z = cloud.points[:, 2]
     mask = (z >= z_min) & (z <= z_max)
-    return PointCloud(cloud.points[mask], cloud.frame, cloud.stamp)
+    return PointCloud(cloud.points[mask], cloud.frame)
 
 
 @dataclass(frozen=True)

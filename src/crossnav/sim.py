@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .arbiter import ArbiterConfig, ArbitrationDecision, LatestValueStore, command_norm
+from .arbiter import ArbiterConfig, ArbitrationDecision, command_norm
 from .arbiter import tick as arbiter_tick
 from .geometry import (
     OPTICAL_PHYSICAL_PAIRS,
@@ -383,21 +383,19 @@ def _chest_mount(rig: SensorRig, bend: BendPose, chest_height_m: float) -> Rigid
     )
 
 
-def robot_camera_pose(robot_pose: np.ndarray, rig: SensorRig, stamp: float = 0.0) -> RigidTransform:
+def robot_camera_pose(robot_pose: np.ndarray, rig: SensorRig) -> RigidTransform:
     """World pose of the robot's forward depth camera (optical frame)."""
     x, y, th = robot_pose
-    world_from_base = RigidTransform(rot_z(th), np.array([x, y, 0.0]), FrameId.ROBOT_BASE, FrameId.WORLD, stamp)
+    world_from_base = RigidTransform(rot_z(th), np.array([x, y, 0.0]), FrameId.ROBOT_BASE, FrameId.WORLD)
     return compose(world_from_base, _robot_mount(rig))
 
 
 def chest_camera_pose(
-    human_pose: np.ndarray, bend: BendPose, rig: SensorRig, chest_height_m: float, stamp: float = 0.0
+    human_pose: np.ndarray, bend: BendPose, rig: SensorRig, chest_height_m: float
 ) -> RigidTransform:
     """World pose of the chest-mounted depth camera; bending pitches it down."""
     x, y, heading = human_pose
-    world_from_body = RigidTransform(
-        rot_z(heading), np.array([x, y, 0.0]), FrameId.PHYSICAL_HUMAN, FrameId.WORLD, stamp
-    )
+    world_from_body = RigidTransform(rot_z(heading), np.array([x, y, 0.0]), FrameId.PHYSICAL_HUMAN, FrameId.WORLD)
     return compose(world_from_body, _chest_mount(rig, bend, chest_height_m))
 
 
@@ -406,7 +404,6 @@ def robot_branch_observation(
     robot_pose: np.ndarray,
     rig: SensorRig,
     spec: PerceptionSpec,
-    stamp: float = 0.0,
     depth_sigma: float = 0.0,
     rng: Optional[np.random.Generator] = None,
     extra_xy: Optional[np.ndarray] = None,
@@ -417,7 +414,7 @@ def robot_branch_observation(
     memory of obstacles that just left the camera cone) into the costmap
     before inflation.
     """
-    img = render_depth(scene, robot_camera_pose(robot_pose, rig, stamp), rig.robot_intrinsics)
+    img = render_depth(scene, robot_camera_pose(robot_pose, rig), rig.robot_intrinsics)
     if depth_sigma > 0 and rng is not None:
         img = apply_depth_noise(img, depth_sigma, rng)
     cloud = transform_points(_robot_mount(rig), deproject(img))
@@ -426,7 +423,7 @@ def robot_branch_observation(
     if extra_xy is not None and extra_xy.shape[0] > 0:
         pad = np.column_stack([extra_xy, np.zeros(extra_xy.shape[0])])
         map_points = np.vstack([map_points, pad]) if map_points.size else pad
-    merged = PointCloud(map_points, FrameId.ROBOT_BASE, stamp)
+    merged = PointCloud(map_points, FrameId.ROBOT_BASE)
     grid = build_costmap(merged, spec.origin_xy, spec.resolution_m, spec.width, spec.height)
     return img, band, inflate(grid, spec.r_inf_m)
 
@@ -436,12 +433,11 @@ def chest_observation(
     human_pose: np.ndarray,
     bend: BendPose,
     rig: SensorRig,
-    stamp: float = 0.0,
     depth_sigma: float = 0.0,
     rng: Optional[np.random.Generator] = None,
 ) -> Tuple[DepthImage, PointCloud]:
     """Chest-view sensing: depth image and the cloud in the human body frame."""
-    pose = chest_camera_pose(human_pose, bend, rig, scene.chest_height_m, stamp)
+    pose = chest_camera_pose(human_pose, bend, rig, scene.chest_height_m)
     img = render_depth(scene, pose, rig.chest_intrinsics)
     if depth_sigma > 0 and rng is not None:
         img = apply_depth_noise(img, depth_sigma, rng)
@@ -551,13 +547,14 @@ class CollisionTracker:
     ``_REACH_SLACK_M``)². ``update`` runs the exact footprint test only on
     pairs whose centres are within reach, so its booleans are those of
     ``Obstacle.overlaps_vertical_cylinder``. Contact is kept per (agent,
-    obstacle id), so a scene that uses an id twice is refused.
+    obstacle id), so a scene that uses an id twice is refused. With
+    ``robot_enabled`` False no robot pair is listed, so the robot position
+    ``update`` is given goes unread.
     """
 
     def __init__(self, scene: Scene, sim: SimParams, robot_enabled: bool = True):
         scene.check_unique_ids()
         self.sim = sim
-        self.robot_enabled = robot_enabled
         agents = [("human", scene.body_radius_m, scene.head_height_m)]
         if robot_enabled:
             agents.append(("robot", sim.robot_radius_m, sim.robot_height_m))
@@ -577,18 +574,15 @@ class CollisionTracker:
     def in_contact(self, agent: str = "human") -> bool:
         return any(key[0] == agent for key in self._touching)
 
-    def update(self, now: float, human_xy: np.ndarray, robot_xy: Optional[np.ndarray]) -> List[CollisionEvent]:
+    def update(self, now: float, human_xy: np.ndarray, robot_xy: np.ndarray) -> List[CollisionEvent]:
         events: List[CollisionEvent] = []
         hx, hy = human_xy.tolist()
-        if robot_xy is not None:
-            rx, ry = robot_xy.tolist()
+        rx, ry = robot_xy.tolist()
         for key, is_robot, ob, cx, cy, reach_sq, radius in self._pairs:
-            if not is_robot:
-                xy, x, y = human_xy, hx, hy
-            elif robot_xy is None:
-                continue  # no robot position: its contacts stand as they are
-            else:
+            if is_robot:
                 xy, x, y = robot_xy, rx, ry
+            else:
+                xy, x, y = human_xy, hx, hy
             dx, dy = x - cx, y - cy
             if dx * dx + dy * dy <= reach_sq and ob.footprint_distance(xy) <= radius:
                 if key not in self._touching:
@@ -604,8 +598,7 @@ class CollisionTracker:
 
 def detect_collisions(state: WorldState, scene: Scene, tracker: CollisionTracker) -> List[CollisionEvent]:
     """Entering-transition events at the current state (tracker holds history)."""
-    robot_xy = state.robot_pose[:2] if tracker.robot_enabled else None
-    return tracker.update(state.time, state.human_pose[:2], robot_xy)
+    return tracker.update(state.time, state.human_pose[:2], state.robot_pose[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +773,6 @@ class _Episode:
         self.follower = FollowerParams(
             self.scene.leash_length_m, config.sim.follower_gain_hz, config.sim.human_speed_cap_mps
         )
-        self.store = LatestValueStore()
         self.branch = HumanBranch(config.safety)
         self.tracker = CollisionTracker(
             self.scene, config.sim, robot_enabled=condition is not Condition.UNASSISTED
@@ -794,7 +786,9 @@ class _Episode:
             config.rig, self.scene.chest_height_m, config.safety
         )
 
-        self.prev_apf: Optional[VelocityCommand] = None
+        # each branch's newest command, None before its first
+        self.apf_cmd: Optional[VelocityCommand] = None
+        self.human_cmd: Optional[VelocityCommand] = None
         self.cloud_memory: List[Tuple[float, np.ndarray]] = []  # (expiry, world xy)
         self.decision: Optional[ArbitrationDecision] = None
         self.roi_depth: Optional[float] = None
@@ -857,7 +851,6 @@ class _Episode:
             self.state.robot_pose,
             cfg.rig,
             cfg.perception,
-            stamp=now,
             depth_sigma=cfg.sim.depth_sigma_m,
             rng=self.rng_robot_noise,
             extra_xy=extra,
@@ -875,9 +868,7 @@ class _Episode:
         dx, dy = self.scene.goal[0] - x, self.scene.goal[1] - y
         goal_base = np.array([c * dx + s * dy, -s * dx + c * dy])
         force = apf_force(np.zeros(2), goal_base, costmap, cfg.apf)
-        cmd = admittance_map(force, cfg.apf, self.prev_apf, now)
-        self.prev_apf = cmd
-        self.store.publish(cmd)
+        self.apf_cmd = admittance_map(force, cfg.apf, self.apf_cmd, now)
 
         self.roi_depth = roi_min_depth(img, self.roi)
         if cfg.sentinel_enabled:
@@ -902,14 +893,13 @@ class _Episode:
             self.state.human_pose,
             self.state.human_bend,
             cfg.rig,
-            stamp=now,
             depth_sigma=cfg.sim.depth_sigma_m,
             rng=self.rng_chest_noise,
         )
-        self.store.publish(self.branch.update(cloud, now))
+        self.human_cmd = self.branch.update(cloud, now)
 
     def _arbiter_tick(self, now: float) -> None:
-        decision = arbiter_tick(self.store, now, self.config.arbiter)
+        decision = arbiter_tick(self.apf_cmd, self.human_cmd, now, self.config.arbiter)
         self.decision = decision
         self.executed = _exec_round(decision.selected, self.config.sim.exec_min_command)
 

@@ -179,7 +179,6 @@ class DepthImage:
     intrinsics: CameraIntrinsics
     depth: np.ndarray  # (height, width) float64, NaN = invalid
     frame: FrameId
-    stamp: float = 0.0
 
     def __post_init__(self):
         d = np.asarray(self.depth, dtype=np.float64)
@@ -399,12 +398,7 @@ def render_depth(
             np.minimum(best, t, out=best)
 
     depth = np.where((t_best > 0) & (t_best <= intr.max_range), t_best, np.nan)
-    return DepthImage(
-        intr,
-        depth,
-        camera_pose_world.from_frame,
-        camera_pose_world.stamp or 0.0,
-    )
+    return DepthImage(intr, depth, camera_pose_world.from_frame)
 
 
 def apply_depth_noise(img: DepthImage, sigma: float, rng: np.random.Generator) -> DepthImage:
@@ -418,7 +412,7 @@ def apply_depth_noise(img: DepthImage, sigma: float, rng: np.random.Generator) -
         np.finfo(np.float64).tiny,
         img.intrinsics.max_range,
     )
-    return DepthImage(img.intrinsics, noisy, img.frame, img.stamp)
+    return DepthImage(img.intrinsics, noisy, img.frame)
 
 
 def deproject(img: DepthImage) -> PointCloud:
@@ -432,4 +426,4 @@ def deproject(img: DepthImage) -> PointCloud:
     np.multiply(x[cols], d, out=points[:, 0])
     np.multiply(y[rows], d, out=points[:, 1])
     points[:, 2] = d
-    return PointCloud(points, img.frame, img.stamp)
+    return PointCloud(points, img.frame)

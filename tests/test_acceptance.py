@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from crossnav.arbiter import ArbiterConfig, LatestValueStore, arbitrate, tick
+from crossnav.arbiter import ArbiterConfig, arbitrate, tick
 from crossnav.geometry import (
     FrameId,
     PointCloud,
@@ -84,10 +84,7 @@ class TestArbitrationExactness:
                 assert decision.selected is (human_cmd if expect else planner_cmd)
 
                 # the same table through the staleness-aware tick path
-                store = LatestValueStore()
-                store.publish(planner_cmd)
-                store.publish(human_cmd)
-                ticked = tick(store, now, cfg)
+                ticked = tick(planner_cmd, human_cmd, now, cfg)
                 assert ticked.a == expect
                 if expect:
                     assert ticked.selected.source is CommandSource.HUMAN
@@ -120,9 +117,7 @@ class TestPlannerFieldConsistency:
                 d0=float(rng.uniform(0.6, 1.4)),
             )
             obstacle_xy = rng.uniform(-2.4, 2.4, 2)
-            cloud = PointCloud(
-                np.array([[obstacle_xy[0], obstacle_xy[1], 0.1]]), FrameId.ROBOT_BASE, 0.0
-            )
+            cloud = PointCloud(np.array([[obstacle_xy[0], obstacle_xy[1], 0.1]]), FrameId.ROBOT_BASE)
             grid = build_costmap(cloud, (-2.5, -2.5), 0.05, 100, 100)
             center = nonfree_centers(grid)[0]
             goal = rng.uniform(-3.0, 3.0, 2)
@@ -214,7 +209,7 @@ class TestTransformRoundTrips:
                 FrameId.WORLD,
                 FrameId.PHYSICAL_DOG,
             )
-            pts = PointCloud(rng.normal(scale=4.0, size=(20, 3)), FrameId.ROBOT_BASE, 0.0)
+            pts = PointCloud(rng.normal(scale=4.0, size=(20, 3)), FrameId.ROBOT_BASE)
 
             ident = compose(invert(t1), t1)
             assert np.max(np.abs(ident.rotation - eye)) <= 1e-9

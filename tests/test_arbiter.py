@@ -1,4 +1,4 @@
-"""Hard-switch command arbitration and the keep-last-one store."""
+"""Hard-switch command arbitration and the staleness fallback."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 from crossnav.arbiter import (
     ArbiterConfig,
     ArbitrationDecision,
-    LatestValueStore,
     arbitrate,
     command_norm,
     tick,
@@ -70,77 +69,41 @@ class TestArbitrate:
         spin = human(w_z=3 * CFG.epsilon / CFG.char_length)
         assert arbitrate(apf(), spin, CFG).a == 1
 
-    def test_stamp_is_newest_input(self):
-        decision = arbitrate(apf(stamp=1.0), human(stamp=2.5), CFG)
-        assert decision.stamp == 2.5
-
 
 class TestTick:
     def test_fresh_human_above_deadband_wins(self):
-        store = LatestValueStore()
-        store.publish(apf(stamp=1.0))
-        store.publish(human(v_x=0.3, stamp=1.0))
-        decision = tick(store, 1.02, CFG)
+        decision = tick(apf(stamp=1.0), human(v_x=0.3, stamp=1.0), 1.02, CFG)
         assert decision.a == 1 and decision.selected.source is CommandSource.HUMAN
-        assert decision.stamp == 1.02
 
     def test_quiescent_human_cedes_to_planner(self):
-        store = LatestValueStore()
-        store.publish(apf(v_x=0.25, stamp=1.0))
-        store.publish(human(stamp=1.0))  # exact zero
-        decision = tick(store, 1.02, CFG)
+        decision = tick(apf(v_x=0.25, stamp=1.0), human(stamp=1.0), 1.02, CFG)  # exact zero
         assert decision.a == 0 and decision.selected.source is CommandSource.APF
         assert decision.selected.v_x == 0.25
 
     def test_staleness_boundary(self):
-        store = LatestValueStore()
-        store.publish(human(v_x=0.3, stamp=0.0))
+        v_human = human(v_x=0.3, stamp=0.0)
         # age == timeout is still fresh; anything older is dropped
-        assert tick(store, CFG.staleness_timeout, CFG).a == 1
-        assert tick(store, CFG.staleness_timeout + 1e-9, CFG).a == 0
+        assert tick(None, v_human, CFG.staleness_timeout, CFG).a == 1
+        assert tick(None, v_human, CFG.staleness_timeout + 1e-9, CFG).a == 0
 
     def test_stale_human_falls_back_to_planner(self):
-        store = LatestValueStore()
-        store.publish(apf(v_x=0.2, stamp=2.0))
-        store.publish(human(v_x=0.3, stamp=0.0))
-        decision = tick(store, 2.1, CFG)
+        decision = tick(apf(v_x=0.2, stamp=2.0), human(v_x=0.3, stamp=0.0), 2.1, CFG)
         assert decision.a == 0 and decision.selected.v_x == 0.2
 
     def test_both_stale_is_a_zero_stop(self):
-        store = LatestValueStore()
-        store.publish(apf(v_x=0.2, stamp=0.0))
-        store.publish(human(v_x=0.3, stamp=0.0))
-        decision = tick(store, 5.0, CFG)
+        decision = tick(apf(v_x=0.2, stamp=0.0), human(v_x=0.3, stamp=0.0), 5.0, CFG)
         assert decision.a == 0
         assert decision.selected.v_x == 0.0 and decision.selected.w_z == 0.0
         assert decision.selected.source is CommandSource.APF
 
     def test_empty_store_is_a_zero_stop(self):
-        decision = tick(LatestValueStore(), 0.0, CFG)
+        # no command from either branch yet
+        decision = tick(None, None, 0.0, CFG)
         assert decision.a == 0 and decision.selected.v_x == 0.0
 
     def test_stale_planner_does_not_block_human(self):
-        store = LatestValueStore()
-        store.publish(apf(v_x=0.2, stamp=0.0))
-        store.publish(human(v_x=0.3, stamp=5.0))
-        decision = tick(store, 5.1, CFG)
+        decision = tick(apf(v_x=0.2, stamp=0.0), human(v_x=0.3, stamp=5.0), 5.1, CFG)
         assert decision.a == 1 and decision.selected.v_x == 0.3
-
-
-class TestLatestValueStore:
-    def test_keeps_only_the_newest_per_source(self):
-        store = LatestValueStore()
-        store.publish(apf(v_x=0.1, stamp=0.0))
-        store.publish(apf(v_x=0.2, stamp=1.0))
-        assert store.latest(CommandSource.APF).v_x == 0.2
-        assert store.latest(CommandSource.HUMAN) is None
-
-    def test_snapshot_is_a_copy(self):
-        store = LatestValueStore()
-        store.publish(apf())
-        snap = store.snapshot()
-        snap.clear()
-        assert store.latest(CommandSource.APF) is not None
 
 
 class TestValidation:
@@ -156,4 +119,4 @@ class TestValidation:
 
     def test_decision_flag_must_be_boolean(self):
         with pytest.raises(ValueError):
-            ArbitrationDecision(2, apf(), 0.0)
+            ArbitrationDecision(2, apf())

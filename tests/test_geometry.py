@@ -104,13 +104,6 @@ class TestCompose:
         pts = rng.normal(size=(20, 3))
         assert_allclose(ab.apply(pts), a.apply(b.apply(pts)), atol=1e-12)
 
-    def test_stamp_prefers_left(self):
-        a = RigidTransform(np.eye(3), np.zeros(3), FrameId.WORLD, FrameId.WORLD, stamp=2.0)
-        b = RigidTransform(np.eye(3), np.zeros(3), FrameId.WORLD, FrameId.WORLD, stamp=1.0)
-        assert compose(a, b).stamp == 2.0
-        a_static = RigidTransform(np.eye(3), np.zeros(3), FrameId.WORLD, FrameId.WORLD)
-        assert compose(a_static, b).stamp == 1.0
-
 
 class TestInvert:
     def test_swaps_frames(self, rng):
@@ -157,8 +150,8 @@ class TestPointCloud:
             PointCloud(np.array([[0.0, 0.0, np.nan]]), FrameId.WORLD)
 
     def test_empty(self):
-        cloud = PointCloud.empty(FrameId.OPTICAL_HUMAN, stamp=4.5)
-        assert len(cloud) == 0 and cloud.stamp == 4.5
+        cloud = PointCloud.empty(FrameId.OPTICAL_HUMAN)
+        assert len(cloud) == 0 and cloud.frame is FrameId.OPTICAL_HUMAN
 
     def test_transform_points_checks_frame(self, rng):
         t = random_transform(rng, FrameId.ROBOT_BASE, FrameId.WORLD)
@@ -168,9 +161,9 @@ class TestPointCloud:
 
     def test_transform_points_round_trip(self, rng):
         t = random_transform(rng, FrameId.ROBOT_BASE, FrameId.WORLD)
-        cloud = PointCloud(rng.normal(size=(40, 3)), FrameId.ROBOT_BASE, stamp=1.25)
+        cloud = PointCloud(rng.normal(size=(40, 3)), FrameId.ROBOT_BASE)
         out = transform_points(t, cloud)
-        assert out.frame is FrameId.WORLD and out.stamp == 1.25
+        assert out.frame is FrameId.WORLD
         back = transform_points(invert(t), out)
         assert_allclose(back.points, cloud.points, atol=1e-9)
 

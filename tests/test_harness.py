@@ -231,9 +231,7 @@ class TestSchema:
             ("sim", "stall_grace_s", -5.0, "non-negative"),
             ("sim", "collision_debounce_s", -1.0, "non-negative"),
             ("sim", "walker_heading_sigma_rad", -0.25, "non-negative"),
-            ("sim", "walker_heading_sigma_rad", math.nan, "non-negative"),
             ("scene", "body_radius_m", -0.18, "positive"),
-            ("scene", "body_radius_m", math.nan, "positive"),
             ("scene", "head_height_m", 0.0, "positive"),
             ("scene", "chest_height_m", -1.3, "positive"),
         ],
@@ -247,6 +245,44 @@ class TestSchema:
         path.write_text(yaml.safe_dump(raw))
         assert cli.main(["check", "--scenario", str(path)]) == 2
         assert f"{section}: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("planner", "k_att", math.nan),
+            ("costmap", "resolution_m", math.nan),
+            ("arbiter", "epsilon_mps", math.nan),
+            ("sentinel", "d_crit_m", math.nan),
+            ("scene", "leash_length_m", math.nan),
+            ("scene", "body_radius_m", math.nan),
+            ("sim", "walker_heading_sigma_rad", math.nan),
+            ("episode", "jitter_xy_m", math.nan),
+            ("scene", "goal_m", [math.nan, 0.0]),
+            ("costmap", "origin_m", [math.nan, 0.0]),
+            ("sensors", "max_range_m", math.inf),
+            ("sim", "timeout_s", math.inf),
+            ("safety", "d_safe_m", -math.inf),
+            ("sentinel", "roi", [40, 120, 60, math.inf]),
+            ("planner", "k_rep", 10**400),
+        ],
+    )
+    def test_non_finite_values_are_refused(self, section, key, value, tmp_path, capsys):
+        raw = minimal_raw()
+        raw.setdefault(section, {})[key] = value
+        path = tmp_path / "non_finite.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ValidationError, match=rf"^{section}\.{key} must be finite$"):
+            load_scenario(path)
+        assert cli.main(["check", "--scenario", str(path)]) == 2
+        assert f"{section}.{key} must be finite" in capsys.readouterr().err
+
+    def test_non_finite_obstacle_values_are_refused(self):
+        raw = minimal_raw()
+        lamp = {"shape": "cylinder", "center_m": [1.0, 0.5], "z_span_m": [1.6, 1.8], "radius_m": 0.2}
+        for key, value in (("radius_m", math.nan), ("center_m", [1.0, math.inf]), ("z_span_m", [1.6, math.nan])):
+            raw["scene"]["obstacles"] = [dict(lamp, **{key: value})]
+            with pytest.raises(ValidationError, match=rf"^scene\.obstacles\[0\]\.{key} must be finite$"):
+                build_config(raw)
 
     def test_sentinel_enabled_must_be_boolean(self):
         raw = minimal_raw()

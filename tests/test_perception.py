@@ -43,11 +43,11 @@ def brute_force_inflate(costmap: Costmap2D, r_inf: float, tol: float = 1e-9) -> 
 class TestPassthrough:
     def test_keeps_band_inclusive(self):
         pts = np.array([[0, 0, 0.019], [0, 0, 0.02], [0, 0, 0.3], [0, 0, 0.5], [0, 0, 0.501]])
-        cloud = PointCloud(pts, FrameId.ROBOT_BASE, stamp=1.0)
+        cloud = PointCloud(pts, FrameId.ROBOT_BASE)
         kept = passthrough_filter(cloud, 0.02, 0.5)
         assert kept.points.shape[0] == 3
         assert kept.points[:, 2].tolist() == [0.02, 0.3, 0.5]
-        assert kept.frame is FrameId.ROBOT_BASE and kept.stamp == 1.0
+        assert kept.frame is FrameId.ROBOT_BASE
 
     def test_preserves_order(self, rng):
         pts = rng.uniform(-1, 1, size=(200, 3))

@@ -378,10 +378,9 @@ class TestScalarPhysicsIsExact:
 class TestCameraPoses:
     def test_robot_camera_frames_and_mount_offset(self):
         rig = default_rig()
-        pose = robot_camera_pose(np.array([1.0, 2.0, math.pi / 2]), rig, stamp=3.0)
+        pose = robot_camera_pose(np.array([1.0, 2.0, math.pi / 2]), rig)
         assert pose.from_frame is FrameId.OPTICAL_DOG
         assert pose.to_frame is FrameId.WORLD
-        assert pose.stamp == 3.0
         np.testing.assert_allclose(pose.translation, [1.0, 2.25, 0.35], atol=1e-12)
 
     def test_robot_optical_axis_follows_heading(self):
@@ -423,7 +422,7 @@ class TestCameraPoses:
 
 
 def pose_bytes(t):
-    return t.rotation.tobytes(), t.translation.tobytes(), t.from_frame, t.to_frame, t.stamp
+    return t.rotation.tobytes(), t.translation.tobytes(), t.from_frame, t.to_frame
 
 
 @pytest.fixture
@@ -483,11 +482,11 @@ class TestMounts:
         for bend in BendPose:
             chest_observation(scene, human, bend, rig)
         transforms_built[0] = 0
-        robot_branch_observation(scene, np.array([0.1, 0.0, 0.2]), rig, PerceptionSpec(), stamp=0.1)
+        robot_branch_observation(scene, np.array([0.1, 0.0, 0.2]), rig, PerceptionSpec())
         assert transforms_built[0] == 2
         for bend in BendPose:
             transforms_built[0] = 0
-            chest_observation(scene, human, bend, rig, stamp=0.1)
+            chest_observation(scene, human, bend, rig)
             assert transforms_built[0] == 2
 
 
@@ -588,28 +587,29 @@ class TestFrustumSummary:
 
 class TestCollisionTracker:
     SIM = SimParams()
+    AWAY = np.array([-1.5, 1.5])  # a robot position clear of every test obstacle
 
     def test_entering_transition_counts_once(self):
         scene = scene_of([box((1.0, 0.0), (0.3, 0.3))])
         tracker = CollisionTracker(scene, self.SIM)
         inside, outside = np.array([1.0, 0.0]), np.array([4.0, 0.0])
-        assert len(tracker.update(0.0, inside, None)) == 1
-        assert len(tracker.update(0.1, inside, None)) == 0  # still overlapping
+        assert len(tracker.update(0.0, inside, self.AWAY)) == 1
+        assert len(tracker.update(0.1, inside, self.AWAY)) == 0  # still overlapping
         assert tracker.in_contact("human")
-        assert len(tracker.update(0.2, outside, None)) == 0
+        assert len(tracker.update(0.2, outside, self.AWAY)) == 0
         assert not tracker.in_contact("human")
 
     def test_recontact_is_debounced(self):
         scene = scene_of([box((1.0, 0.0), (0.3, 0.3))])
         tracker = CollisionTracker(scene, self.SIM)
         inside, outside = np.array([1.0, 0.0]), np.array([4.0, 0.0])
-        tracker.update(0.0, inside, None)
-        tracker.update(0.2, outside, None)
+        tracker.update(0.0, inside, self.AWAY)
+        tracker.update(0.2, outside, self.AWAY)
         # bouncing straight back in is the same event
-        assert len(tracker.update(0.4, inside, None)) == 0
-        tracker.update(0.6, outside, None)
+        assert len(tracker.update(0.4, inside, self.AWAY)) == 0
+        tracker.update(0.6, outside, self.AWAY)
         # a full debounce window later it counts again
-        assert len(tracker.update(1.0 + 1e-6, inside, None)) == 1
+        assert len(tracker.update(1.0 + 1e-6, inside, self.AWAY)) == 1
 
     def test_overhead_hits_the_head_but_not_the_robot(self):
         scene = scene_of([cyl((1.0, 0.0), 0.25, (1.6, 1.8))])
@@ -639,18 +639,6 @@ class TestCollisionTracker:
         assert [(ev.agent, ev.obstacle_id) for ev in events] == [("robot", "A"), ("human", "B")]
         both = CollisionTracker(scene, self.SIM).update(0.0, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
         assert [(ev.agent, ev.obstacle_id) for ev in both] == [("human", "A"), ("robot", "A")]
-
-    def test_no_robot_position_leaves_its_contact_standing(self):
-        scene = scene_of([box((1.0, 0.0), (0.3, 0.3))])
-        tracker = CollisionTracker(scene, self.SIM)
-        far, inside = np.array([4.0, 0.0]), np.array([1.0, 0.0])
-        assert [ev.agent for ev in tracker.update(0.0, far, inside)] == ["robot"]
-        assert tracker.update(2.0, far, None) == []
-        assert tracker.in_contact("robot")
-        # still the same contact, though a debounce window has passed
-        assert tracker.update(4.0, far, inside) == []
-        tracker.update(6.0, far, far)
-        assert not tracker.in_contact("robot")
 
     def test_overhead_obstacle_never_hits_the_robot(self):
         scene = scene_of([
@@ -698,7 +686,7 @@ class _ScalarTracker:
                 human_xy, self.scene.body_radius_m, 0.0, self.scene.head_height_m
             )
             self._transition("human", ob.obstacle_id, ob.kind, over_h, now, events)
-            if self.robot_enabled and robot_xy is not None:
+            if self.robot_enabled:
                 over_r = ob.overlaps_vertical_cylinder(
                     robot_xy, self.sim.robot_radius_m, 0.0, self.sim.robot_height_m
                 )
@@ -803,9 +791,8 @@ class TestCollisionBroadPhase:
                         pos[name] = probes[name][int(rng.integers(len(probes[name])))]
                     else:
                         pos[name] = np.clip(pos[name] + rng.normal(0.0, 0.2, 2), (-3.0, -2.0), (3.0, 2.0))
-                robot_xy = None if rng.random() < 0.1 else pos["robot"]
-                got = tracker.update(now, pos["human"], robot_xy)
-                want = reference.update(now, pos["human"], robot_xy)
+                got = tracker.update(now, pos["human"], pos["robot"])
+                want = reference.update(now, pos["human"], pos["robot"])
                 assert [dataclasses.astuple(ev) for ev in got] == [dataclasses.astuple(ev) for ev in want]
                 for agent in ("human", "robot"):
                     assert tracker.in_contact(agent) == reference.in_contact(agent)
@@ -973,7 +960,8 @@ class TestConfigValidation:
 
     def test_sim_params_validation(self):
         for kw in ({"dt": 0.0}, {"timeout_s": 0.0}, {"planner_rate_hz": 0.0},
-                   {"exec_min_command": -0.1}, {"costmap_memory_s": -1.0}):
+                   {"exec_min_command": -0.1}, {"costmap_memory_s": -1.0},
+                   {"walker_heading_sigma_rad": math.nan}):
             with pytest.raises(ConfigError):
                 SimParams(**kw)
 
@@ -1033,7 +1021,7 @@ class TestFormatRow:
             )
             source = CommandSource.WALKER if i % 2 else CommandSource.HUMAN
             executed = VelocityCommand(pick(), pick(), pick(), 0.0, source)
-            decision = None if i % 3 == 0 else ArbitrationDecision(i % 2, executed, 0.0)
+            decision = None if i % 3 == 0 else ArbitrationDecision(i % 2, executed)
             roi_depth = (None, pick(), float(pick()), np.float64(math.inf))[i % 4]
             events = events_cases[i % 3]
             episode = types.SimpleNamespace(state=state, executed=executed, decision=decision, roi_depth=roi_depth)

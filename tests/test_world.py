@@ -102,6 +102,13 @@ class TestScene:
         with pytest.raises(ValueError, match="goal"):
             s.validate(robot_clearance_m=0.5)
 
+    def test_validate_body_sizes_are_positive_and_not_nan(self):
+        for value in (-0.18, float("nan")):
+            s = scene_of()
+            object.__setattr__(s, "body_radius_m", value)
+            with pytest.raises(ValueError, match="body_radius_m must be positive"):
+                s.validate(robot_clearance_m=0.5)
+
     def test_validate_overhead_above_clearance(self):
         s = scene_of(cyl("low_lamp", 2.0, 0.0, 0.3, 0.4, 0.9, ObstacleKind.OVERHEAD))
         with pytest.raises(ValueError, match="low_lamp"):
@@ -464,9 +471,9 @@ class TestDeproject:
     def test_synthetic_image_known_points(self):
         depth = np.full((INTR.height, INTR.width), np.nan)
         depth[int(INTR.cy), int(INTR.cx)] = 2.0
-        img = DepthImage(INTR, depth, FrameId.OPTICAL_HUMAN, stamp=3.0)
+        img = DepthImage(INTR, depth, FrameId.OPTICAL_HUMAN)
         cloud = deproject(img)
-        assert cloud.stamp == 3.0
+        assert cloud.frame is FrameId.OPTICAL_HUMAN
         assert_allclose(cloud.points, [[0.0, 0.0, 2.0]], atol=1e-12)
 
     def test_points_are_the_axis_formula_bitwise(self, rng):
