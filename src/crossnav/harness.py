@@ -146,8 +146,10 @@ _VECTORS = {
 _TOP_KEYS = ("name", *_SCHEMA)
 
 
-def _finite(value, path: str) -> float:
-    """``float(value)``, refusing NaN, the infinities and integers too large for a float."""
+def _number(value, path: str) -> float:
+    """An int or float as a float; refuses booleans, NaN, the infinities and ints too big for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{path} must be a number")
     try:
         number = float(value)
     except OverflowError:
@@ -157,19 +159,10 @@ def _finite(value, path: str) -> float:
     return number
 
 
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{path} must be a number")
-    return _finite(value, path)
-
-
 def _vector(value, length: int, path: str) -> Tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or len(value) != length:
         raise ValidationError(f"{path} must be a list of {length} numbers")
-    try:
-        return tuple(_finite(v, path) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path} must be numeric") from exc
+    return tuple(_number(v, path) for v in value)
 
 
 def _obstacles(value, path: str) -> Tuple[Obstacle, ...]:
@@ -180,9 +173,11 @@ def _obstacles(value, path: str) -> Tuple[Obstacle, ...]:
 
 def _roi(value, path: str) -> RoiSpec:
     bounds = _vector(value, 4, path)
+    if not all(b.is_integer() for b in bounds):
+        raise ValidationError(f"{path} must be a list of 4 whole pixel bounds")
     try:
         return RoiSpec(*(int(b) for b in bounds))
-    except (RoiOutOfBounds, ValueError, OverflowError) as exc:
+    except RoiOutOfBounds as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
 

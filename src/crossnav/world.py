@@ -8,15 +8,19 @@ against the pixel window of the part of its bounding box in front of the
 camera; the window holds every pixel whose ray can hit it, so the image is
 bitwise that of a full-image cast. A box that straddles the camera plane is
 bounded by its in-front corners, and its window runs to an image edge only on
-a side that the box's section with the camera plane reaches.
+a side that the box's section with the camera plane reaches. The windows are
+found on Python floats, one box at a time, without a matrix product. A render
+fills the image with NaN once and allocates its hit buffer only over the union
+box of the cast windows, so its cost follows the cast pixels, not the image.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -257,34 +261,39 @@ def _raycast_cylinder(origin, dx, dy, dz, center, r, z1, z2) -> np.ndarray:
     return best
 
 
-def _aabbs(obstacles: Sequence[Obstacle]):
-    """World-frame axis-aligned bounds (lo, hi) of the obstacles, each (K, 3)."""
-    rows = []
-    for ob in obstacles:  # Python floats and one array build: this runs on every render
-        cx, cy = ob.center.tolist()
-        hx, hy = ob.half_extents.tolist() if ob.shape is ObstacleShape.BOX else (ob.radius, ob.radius)
-        rows.append((cx - hx, cy - hy, ob.z_min, cx + hx, cy + hy, ob.z_max))
-    bounds = np.array(rows, dtype=np.float64)
-    return bounds[:, :3], bounds[:, 3:]
+def _bounds(ob: Obstacle):
+    """World-frame axis-aligned bounds (lo, hi) of an obstacle, each three Python floats."""
+    cx, cy = ob.center.tolist()
+    hx, hy = ob.half_extents.tolist() if ob.shape is ObstacleShape.BOX else (ob.radius, ob.radius)
+    z0, z1 = float(ob.z_min), float(ob.z_max)
+    return (cx - hx, cy - hy, z0), (cx + hx, cy + hy, z1)
 
 
-# which of (lo, hi) each of a box's 8 corners takes per axis
-_CORNER_PICKS = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], dtype=bool)
 # a box's 12 edges as corner index pairs: corners 4i + 2j + k differing in one bit
-_EDGE_A = np.array([0, 1, 2, 3, 0, 1, 4, 5, 0, 2, 4, 6])
-_EDGE_B = np.array([4, 5, 6, 7, 2, 3, 6, 7, 1, 3, 5, 7])
+_EDGES = ((0, 4), (1, 5), (2, 6), (3, 7), (0, 2), (1, 3), (4, 6), (5, 7), (0, 1), (2, 3), (4, 5), (6, 7))
 # optical x or y (meters) within which a section point counts as on the axis;
 # it only widens windows, and sits far above the rounding of a crossing point
 _SECTION_TOL = 1e-9
 
 
-def _pixel_windows(lo, hi, origin, rotation, intr: CameraIntrinsics):
-    """Per box [lo[k], hi[k]]: the pixel (rows, cols) slices whose rays can hit it, or None.
+def _pixel_span(low: float, high: float, size: int):
+    """Pixel indices [first, last] covering [low, high], padded by one and clipped to [0, size - 1]."""
+    # clip before rounding: harmless for the span, and inf has no integer
+    first = max(math.floor(min(max(low, -2.0), size + 1.0)) - 1, 0)
+    last = min(math.ceil(min(max(high, -2.0), size + 1.0)) + 1, size - 1)
+    return first, last
 
-    The box corners go into the optical frame. A hit has optical depth
-    t > _EPS, so it lies in the box's part at q_z > 0, and a box wholly at
-    q_z <= 0 is never hit. That part projects to a convex set, and u and v
-    are monotone along every segment of it, so:
+
+def _pixel_window(lo, hi, origin, r, intr: CameraIntrinsics):
+    """The pixel (rows, cols) slices whose rays can hit box [lo, hi], or None.
+
+    All arguments are Python floats: ``origin`` is the camera position and
+    ``r`` its rotation as nested lists. The box corners c go into the optical
+    frame component by component, q_i = (c - origin) . r[:, i], with no
+    matrix product. A hit has optical depth t > _EPS, so it lies in the box's
+    part at q_z > 0, and a box wholly at q_z <= 0 is never hit. That part
+    projects to a convex set, and u and v are monotone along every segment
+    of it, so:
 
     - a box wholly in front projects inside the bounds of its projected
       corners;
@@ -299,42 +308,41 @@ def _pixel_windows(lo, hi, origin, rotation, intr: CameraIntrinsics):
     The bounds are padded by one pixel against rounding and clipped to the
     image; a window that misses the image is None.
     """
-    corners = np.where(_CORNER_PICKS, hi[:, None, :], lo[:, None, :])  # (K, 8, 3)
-    q = (corners - origin) @ rotation
-    in_front = q[..., 2] > 0.0
-    qz = np.where(in_front, q[..., 2], 1.0)  # other rows are never projected
-    with np.errstate(over="ignore"):  # q_z near 0 sends u, v towards +-inf
-        u = intr.fx * q[..., 0] / qz + intr.cx
-        v = intr.fy * q[..., 1] / qz + intr.cy
-    u_min, u_max, v_min, v_max = u.min(axis=1), u.max(axis=1), v.min(axis=1), v.max(axis=1)
-    fronts = in_front.tolist()
-    straddling = [k for k, front in enumerate(fronts) if any(front) and not all(front)]
-    if straddling:
-        qs, front = q[straddling], in_front[straddling]
-        a, b = qs[:, _EDGE_A], qs[:, _EDGE_B]  # (S, 12, 3) edge ends
-        crosses = (a[..., 2] > 0.0) != (b[..., 2] > 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):  # edges that do not cross
-            section = a + (a[..., 2] / (a[..., 2] - b[..., 2]))[..., None] * (b - a)
-        for lows, highs, proj, axis in ((u_min, u_max, u, 0), (v_min, v_max, v, 1)):
-            s = section[..., axis]
-            low = np.where(front, proj[straddling], np.inf).min(axis=1)
-            high = np.where(front, proj[straddling], -np.inf).max(axis=1)
-            lows[straddling] = np.where((crosses & (s < _SECTION_TOL)).any(axis=1), -np.inf, low)
-            highs[straddling] = np.where((crosses & (s > -_SECTION_TOL)).any(axis=1), np.inf, high)
-    # clip before the int cast: harmless for the window, and inf cannot be cast
-    u_min, u_max = np.clip(u_min, -2.0, intr.width + 1.0), np.clip(u_max, -2.0, intr.width + 1.0)
-    v_min, v_max = np.clip(v_min, -2.0, intr.height + 1.0), np.clip(v_max, -2.0, intr.height + 1.0)
-    c0 = np.maximum(np.floor(u_min) - 1, 0).astype(int).tolist()
-    c1 = np.minimum(np.ceil(u_max) + 1, intr.width - 1).astype(int).tolist()
-    r0 = np.maximum(np.floor(v_min) - 1, 0).astype(int).tolist()
-    r1 = np.minimum(np.ceil(v_max) + 1, intr.height - 1).astype(int).tolist()
-    windows = []
-    for k, front in enumerate(fronts):
-        if not any(front) or c0[k] > c1[k] or r0[k] > r1[k]:
-            windows.append(None)
-        else:
-            windows.append((slice(r0[k], r1[k] + 1), slice(c0[k], c1[k] + 1)))
-    return windows
+    ox, oy, oz = origin
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r
+    q = []  # optical corners; corner 4i + 2j + k takes (lo, hi)[i] in x, [j] in y, [k] in z
+    for cx in (lo[0] - ox, hi[0] - ox):
+        ax, ay, az = cx * r00, cx * r01, cx * r02
+        for cy in (lo[1] - oy, hi[1] - oy):
+            bx, by, bz = ax + cy * r10, ay + cy * r11, az + cy * r12
+            for cz in (lo[2] - oz, hi[2] - oz):
+                q.append((bx + cz * r20, by + cz * r21, bz + cz * r22))
+    front = [c for c in q if c[2] > 0.0]
+    if not front:
+        return None
+    fx, fy, px, py = float(intr.fx), float(intr.fy), float(intr.cx), float(intr.cy)
+    us = [fx * x / z + px for x, _, z in front]  # q_z near 0 sends u, v towards +-inf
+    vs = [fy * y / z + py for _, y, z in front]
+    u_min, u_max, v_min, v_max = min(us), max(us), min(vs), max(vs)
+    if len(front) < 8:  # straddling: open the sides that the section reaches
+        for a, b in _EDGES:
+            (ax, ay, az), (bx, by, bz) = q[a], q[b]
+            if (az > 0.0) != (bz > 0.0):
+                w = az / (az - bz)
+                sx, sy = ax + w * (bx - ax), ay + w * (by - ay)
+                if sx < _SECTION_TOL:
+                    u_min = -math.inf
+                if sx > -_SECTION_TOL:
+                    u_max = math.inf
+                if sy < _SECTION_TOL:
+                    v_min = -math.inf
+                if sy > -_SECTION_TOL:
+                    v_max = math.inf
+    c0, c1 = _pixel_span(u_min, u_max, intr.width)
+    r0, r1 = _pixel_span(v_min, v_max, intr.height)
+    if c0 > c1 or r0 > r1:
+        return None
+    return slice(r0, r1 + 1), slice(c0, c1 + 1)
 
 
 def render_depth(
@@ -344,60 +352,72 @@ def render_depth(
 
     Each obstacle whose bounding box is within reach of a ray is cast only
     against the pixel window of the part of that box in front of the camera
-    (see ``_pixel_windows``): skipped when wholly behind the camera or outside
-    the image. A box straddling the camera plane is bounded by its in-front
-    corners, and its window runs to an image edge only on a side that its
-    section with the camera plane reaches, since a hit has positive optical
-    depth. Pixels outside the window cannot hit the obstacle, each ray is
-    built element-wise from its pixel's column and row so it has the same
-    bits in any window, and the per-pixel minimum is order-free, so the image
-    is bitwise that of casting every pixel against every obstacle. Rays are
-    built only for the pixels of a window.
+    (see ``_pixel_window``, which works on Python floats, one box at a time):
+    skipped when wholly behind the camera or outside the image. A box
+    straddling the camera plane is bounded by its in-front corners, and its
+    window runs to an image edge only on a side that its section with the
+    camera plane reaches, since a hit has positive optical depth. Pixels
+    outside the window cannot hit the obstacle, each ray is built
+    element-wise from its pixel's column and row so it has the same bits in
+    any window, and the per-pixel minimum is order-free, so the image is
+    bitwise that of casting every pixel against every obstacle.
+
+    The image starts as one NaN fill. Rays, the hit buffer and the range
+    select cover only the union box of the cast windows, so a frame that
+    casts nothing costs that fill alone.
 
     ``camera_pose_world`` must map an optical frame into the world frame.
     Pixels with no hit inside (0, max_range] are NaN. Pure and deterministic.
     """
     if camera_pose_world.to_frame != FrameId.WORLD:
         raise ValueError("camera pose must map into the world frame")
-    rotation = camera_pose_world.rotation
-    origin = camera_pose_world.translation
+    depth = np.full((intr.height, intr.width), np.nan)
+    origin = camera_pose_world.translation.tolist()
+    r = camera_pose_world.rotation.tolist()
 
     # prune obstacles that no ray can reach: a hit at parameter t lies at
     # euclidean distance t * |dir| <= max_range * max|dir| from the origin
-    corner = max(
-        abs(-intr.cx / intr.fx), abs((intr.width - intr.cx) / intr.fx)
-    ), max(abs(-intr.cy / intr.fy), abs((intr.height - intr.cy) / intr.fy))
-    reach = intr.max_range * float(np.sqrt(1.0 + corner[0] ** 2 + corner[1] ** 2))
+    corner_x = max(abs(-intr.cx / intr.fx), abs((intr.width - intr.cx) / intr.fx))
+    corner_y = max(abs(-intr.cy / intr.fy), abs((intr.height - intr.cy) / intr.fy))
+    reach = intr.max_range * math.sqrt(1.0 + corner_x**2 + corner_y**2)
 
-    t_best = np.full((intr.height, intr.width), np.inf)
-    near = []
-    if scene.obstacles:
-        # distance from the origin to each bounding box, which is at most the
+    cast = []  # (obstacle, lo, hi, window)
+    for ob in scene.obstacles:
+        lo, hi = _bounds(ob)
+        # distance from the origin to the bounding box, which is at most the
         # obstacle's; the 1e-9 m slack against rounding only keeps obstacles
         # whose hits all lie beyond max_range and so come out NaN
-        lo, hi = _aabbs(scene.obstacles)
-        gap = np.maximum(np.maximum(lo - origin, origin - hi), 0.0)
-        near = np.flatnonzero(np.sqrt((gap * gap).sum(axis=1)) <= reach + 1e-9).tolist()
-    if near:
-        windows = _pixel_windows(lo[near], hi[near], origin, rotation, intr)
-        x, y = _ray_axes(intr)
-        r = rotation.tolist()
-        for k, window in zip(near, windows):
-            if window is None:
-                continue
-            # the window's rays, element-wise from its columns and rows
-            rows, cols = window
-            xs, ys = x[cols], y[rows, None]
-            dx, dy, dz = (r[i][0] * xs + r[i][1] * ys + r[i][2] for i in range(3))
-            ob = scene.obstacles[k]
-            if ob.shape is ObstacleShape.BOX:
-                t = _raycast_box(origin, dx, dy, dz, lo[k], hi[k])
-            else:
-                t = _raycast_cylinder(origin, dx, dy, dz, ob.center, ob.radius, ob.z_min, ob.z_max)
-            best = t_best[window]
-            np.minimum(best, t, out=best)
+        gap = 0.0
+        for o, l, h in zip(origin, lo, hi):
+            g = max(l - o, o - h, 0.0)
+            gap += g * g
+        if math.sqrt(gap) > reach + 1e-9:
+            continue
+        window = _pixel_window(lo, hi, origin, r, intr)
+        if window is not None:
+            cast.append((ob, lo, hi, window))
+    if not cast:
+        return DepthImage(intr, depth, camera_pose_world.from_frame)
 
-    depth = np.where((t_best > 0) & (t_best <= intr.max_range), t_best, np.nan)
+    # the union box of the windows holds every cast pixel
+    top = min(w[0].start for *_, w in cast)
+    bottom = max(w[0].stop for *_, w in cast)
+    left = min(w[1].start for *_, w in cast)
+    right = max(w[1].stop for *_, w in cast)
+    t_best = np.full((bottom - top, right - left), np.inf)
+    x, y = _ray_axes(intr)
+    for ob, lo, hi, (rows, cols) in cast:
+        # the window's rays, element-wise from its columns and rows
+        xs, ys = x[cols], y[rows, None]
+        dx, dy, dz = (r[i][0] * xs + r[i][1] * ys + r[i][2] for i in range(3))
+        if ob.shape is ObstacleShape.BOX:
+            t = _raycast_box(origin, dx, dy, dz, lo, hi)
+        else:
+            t = _raycast_cylinder(origin, dx, dy, dz, ob.center, ob.radius, ob.z_min, ob.z_max)
+        best = t_best[rows.start - top:rows.stop - top, cols.start - left:cols.stop - left]
+        np.minimum(best, t, out=best)
+
+    np.copyto(depth[top:bottom, left:right], t_best, where=(t_best > 0) & (t_best <= intr.max_range))
     return DepthImage(intr, depth, camera_pose_world.from_frame)
 
 
@@ -419,7 +439,8 @@ def deproject(img: DepthImage) -> PointCloud:
     """Back-project valid pixels into an optical-frame point cloud (row-major order)."""
     x, y = _ray_axes(img.intrinsics)
     flat = img.depth.ravel()
-    index = np.flatnonzero(np.isfinite(flat) & (flat > 0))
+    index = np.flatnonzero(flat > 0)  # NaN fails the test; +inf is dropped next
+    index = index[np.isfinite(flat[index])]
     rows, cols = np.divmod(index, img.intrinsics.width)
     d = flat[index]
     points = np.empty((index.size, 3))

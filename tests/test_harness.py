@@ -276,6 +276,22 @@ class TestSchema:
         assert cli.main(["check", "--scenario", str(path)]) == 2
         assert f"{section}.{key} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("scene", "goal_m", ["3.5", 0.0]),
+            ("scene", "goal_m", [3.5, True]),
+            ("costmap", "origin_m", [0.0, None]),
+            ("sensors", "robot_mount_xyz_m", [0.1, 0.0, "0.4"]),
+            ("sentinel", "roi", [40, 120, 60, False]),
+        ],
+    )
+    def test_vector_elements_must_be_numbers(self, section, key, value):
+        raw = minimal_raw()
+        raw.setdefault(section, {})[key] = value
+        with pytest.raises(ValidationError, match=rf"^{section}\.{key} must be a number$"):
+            build_config(raw)
+
     def test_non_finite_obstacle_values_are_refused(self):
         raw = minimal_raw()
         lamp = {"shape": "cylinder", "center_m": [1.0, 0.5], "z_span_m": [1.6, 1.8], "radius_m": 0.2}
@@ -296,6 +312,15 @@ class TestSchema:
         cfg = build_config(raw)
         roi = cfg.sentinel.roi
         assert (roi.u_min, roi.u_max, roi.v_min, roi.v_max) == (40, 120, 60, 96)
+
+    @pytest.mark.parametrize("roi", [[40.9, 120.2, 60, 96], [40, 120, 60, 96.5]])
+    def test_sentinel_roi_bounds_must_be_whole_pixels(self, roi):
+        raw = minimal_raw()
+        raw["sentinel"] = {"roi": roi}
+        with pytest.raises(ValidationError, match=r"^sentinel\.roi must be a list of 4 whole pixel bounds$"):
+            build_config(raw)
+        raw["sentinel"] = {"roi": [float(b) for b in (40, 120, 60, 96)]}
+        assert build_config(raw).sentinel.roi == RoiSpec(40, 120, 60, 96)
 
     def test_sentinel_roi_wider_than_the_image_is_rejected(self):
         raw = minimal_raw()

@@ -5,10 +5,13 @@ makes the answer obvious, and a slow inside-test ray march as an independent
 oracle on randomized scenes.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import parent_windows
 from crossnav import world
 from crossnav.geometry import FrameId, RigidTransform, rot_y, rot_z
 from crossnav.world import (
@@ -18,8 +21,8 @@ from crossnav.world import (
     ObstacleKind,
     ObstacleShape,
     Scene,
-    _aabbs,
-    _pixel_windows,
+    _bounds,
+    _pixel_window,
     _ray_axes,
     _raycast_box,
     _raycast_cylinder,
@@ -293,15 +296,23 @@ def _full_image_cast(scene, pose, intr):
     return np.where((t_best > 0) & (t_best <= intr.max_range), t_best, np.nan)
 
 
+def _corners(lo, hi):
+    """The 8 corners of box [lo, hi], (8, 3)."""
+    return np.array([[x, y, z] for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
+
+
+def _window(ob, pose, intr):
+    """The pixel window of an obstacle's bounding box, as render_depth finds it."""
+    return _pixel_window(*_bounds(ob), pose.translation.tolist(), pose.rotation.tolist(), intr)
+
+
 class TestRenderCullingIsExact:
     """Casting each obstacle only against its pixel window changes no bit of the image."""
 
     def _culling_branch(self, ob, pose, intr):
-        lo, hi = _aabbs([ob])
-        corners = np.array([[x, y, z] for x in (lo[0, 0], hi[0, 0]) for y in (lo[0, 1], hi[0, 1])
-                            for z in (lo[0, 2], hi[0, 2])])
-        qz = ((corners - pose.translation) @ pose.rotation)[:, 2]
-        window = _pixel_windows(lo, hi, pose.translation, pose.rotation, intr)[0]
+        lo, hi = _bounds(ob)
+        qz = (_corners(lo, hi) - pose.translation) @ pose.rotation[:, 2]
+        window = _window(ob, pose, intr)
         if np.all(qz <= 0.0):
             assert window is None
             return "behind"
@@ -317,9 +328,33 @@ class TestRenderCullingIsExact:
             return "straddling, bounded"
         return "outside" if window is None else "inside"
 
-    def test_matches_full_image_cast_bitwise(self, rng):
+    @staticmethod
+    def _frame_kind(windows, intr):
+        """How the cast windows of one render lie: none, one, or two disjoint ones with a gap."""
+        if len(windows) < 2:
+            return ("no window", "one window")[len(windows)]
+        cast = np.zeros((intr.height, intr.width), dtype=int)
+        for window in windows:
+            cast[window] += 1
+        rows = slice(min(w[0].start for w in windows), max(w[0].stop for w in windows))
+        cols = slice(min(w[1].start for w in windows), max(w[1].stop for w in windows))
+        if len(windows) == 2 and cast.max() == 1 and not cast[rows, cols].all():
+            return "two disjoint windows, uncast pixels between"
+        return "other"
+
+    def test_matches_full_image_cast_bitwise(self, rng, monkeypatch):
+        windows = []  # the cast windows of the current render
+        window_of = world._pixel_window
+
+        def recording(*args):
+            window = window_of(*args)
+            if window is not None:
+                windows.append(window)
+            return window
+
+        monkeypatch.setattr(world, "_pixel_window", recording)
         intr = CameraIntrinsics.from_fov(width=64, height=48, hfov_deg=70.0, max_range=5.0)
-        seen = set()
+        seen, frames = set(), set()
         for trial in range(24):
             yaw = rng.uniform(-np.pi, np.pi)
             cam = np.array([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(0.2, 1.5)])
@@ -348,92 +383,119 @@ class TestRenderCullingIsExact:
                     ob = cyl(f"c{k}", cx, cy, rng.uniform(0.1, 0.4), z0, z1)
                 obstacles.append(ob)
                 seen.add(self._culling_branch(ob, pose, intr))
-            scene = scene_of(*obstacles)
-            img = render_depth(scene, pose, intr)
-            assert img.depth.tobytes() == _full_image_cast(scene, pose, intr).tobytes(), (
-                f"trial {trial}"
-            )
+            # the whole scene, then each obstacle and each pair alone: frames
+            # with no window, one, and several, apart or overlapping
+            for subset in [obstacles, *([ob] for ob in obstacles), *itertools.combinations(obstacles, 2)]:
+                scene = scene_of(*subset)
+                windows.clear()
+                img = render_depth(scene, pose, intr)
+                frames.add(self._frame_kind(windows, intr))
+                assert img.depth.tobytes() == _full_image_cast(scene, pose, intr).tobytes(), (
+                    f"trial {trial}, obstacles {[ob.obstacle_id for ob in subset]}"
+                )
         assert seen == {"behind", "straddling, bounded", "straddling, full image",
                         "straddling, off image", "outside", "inside"}
+        assert {"no window", "one window", "two disjoint windows, uncast pixels between"} <= frames
+
+
+def _lone_obstacle(rng):
+    """One obstacle, a camera pose and intrinsics, drawn where the window rule is tight.
+
+    The draws favour boxes and cylinders across the camera plane, and the
+    cases where the window rule is tight: a box edge crossing the camera
+    plane within 1e-12 m of the optical axis, the camera inside a box, and a
+    box face at the camera's height.
+    """
+    width, height = int(rng.integers(8, 41)), int(rng.integers(6, 31))
+    f = (width / 2.0) / np.tan(np.radians(rng.uniform(20.0, 150.0)) / 2.0)
+    intr = CameraIntrinsics(f, f * rng.uniform(0.7, 1.4), rng.uniform(0.0, width - 1e-9),
+                            rng.uniform(0.0, height - 1e-9), width, height, 5.0)
+    case = rng.choice(["across", "axis", "inside", "level", "anywhere"],
+                      p=[0.4, 0.15, 0.15, 0.15, 0.15])
+    axis_aligned = case in ("axis", "level") and rng.uniform() < 0.7
+    yaw = rng.integers(4) * np.pi / 2 if axis_aligned else rng.uniform(-np.pi, np.pi)
+    pitch = 0.0 if axis_aligned else rng.uniform(-1.2, 1.2)
+    cam = np.array([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(0.2, 1.5)])
+    pose = camera_pose(cam, yaw=yaw, pitch=pitch)
+    hx, hy = rng.uniform(0.05, 0.8, size=2)
+    z0 = rng.uniform(-0.5, 1.5)
+    z1 = z0 + rng.uniform(0.1, 1.5)
+    if case == "across":
+        fwd, lat = rng.uniform(-0.4, 0.4), rng.uniform(-1.5, 1.5)
+        cxy = cam[:2] + fwd * np.array([np.cos(yaw), np.sin(yaw)]) \
+            + lat * np.array([-np.sin(yaw), np.cos(yaw)])
+    elif case == "axis":
+        # one face plane within 1e-12 m of the camera, so edges cross near the axis
+        offset = rng.choice([0.0, 1e-13, -1e-13, 1e-12, -1e-12])
+        sign = rng.choice([-1.0, 1.0])
+        cxy = cam[:2] + rng.uniform(-0.5, 0.5, size=2)
+        axis = rng.integers(2)
+        cxy[axis] = cam[axis] + sign * ((hx, hy)[axis] + offset)
+        z0, z1 = cam[2] - rng.uniform(0.1, 1.0), cam[2] + rng.uniform(0.1, 1.0)
+    elif case == "inside":
+        cxy = cam[:2] + rng.uniform(-1.0, 1.0, size=2) * (hx, hy)
+        z0, z1 = cam[2] - rng.uniform(0.01, 1.0), cam[2] + rng.uniform(0.01, 1.0)
+    elif case == "level":
+        cxy = cam[:2] + rng.uniform(-1.0, 1.0, size=2)
+        if rng.uniform() < 0.5:
+            z0 = cam[2]
+            z1 = z0 + rng.uniform(0.1, 1.0)
+        else:
+            z1 = cam[2]
+            z0 = z1 - rng.uniform(0.1, 1.0)
+    else:
+        cxy = cam[:2] + rng.uniform(-2.0, 2.0, size=2)
+    if rng.uniform() < 0.3:
+        ob = cyl("c", cxy[0], cxy[1], max(hx, hy), z0, z1)
+    else:
+        ob = box("b", cxy[0], cxy[1], hx, hy, z0, z1)
+    return ob, pose, intr
 
 
 class TestWindowsHoldEveryHit:
     """Every pixel whose ray hits a lone obstacle lies in that obstacle's window.
 
-    One obstacle per scene, so no nearer obstacle can hide a pixel that the
-    window misses. The draws favour boxes and cylinders across the camera
-    plane, and the cases where the window rule is tight: a box edge crossing
-    the camera plane within 1e-12 m of the optical axis, the camera inside a
-    box, and a box face at the camera's height.
+    One obstacle per scene (see ``_lone_obstacle``), so no nearer obstacle can
+    hide a pixel that the window misses.
     """
-
-    def _scene(self, rng):
-        width, height = int(rng.integers(8, 41)), int(rng.integers(6, 31))
-        f = (width / 2.0) / np.tan(np.radians(rng.uniform(20.0, 150.0)) / 2.0)
-        intr = CameraIntrinsics(f, f * rng.uniform(0.7, 1.4), rng.uniform(0.0, width - 1e-9),
-                                rng.uniform(0.0, height - 1e-9), width, height, 5.0)
-        case = rng.choice(["across", "axis", "inside", "level", "anywhere"],
-                          p=[0.4, 0.15, 0.15, 0.15, 0.15])
-        axis_aligned = case in ("axis", "level") and rng.uniform() < 0.7
-        yaw = rng.integers(4) * np.pi / 2 if axis_aligned else rng.uniform(-np.pi, np.pi)
-        pitch = 0.0 if axis_aligned else rng.uniform(-1.2, 1.2)
-        cam = np.array([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(0.2, 1.5)])
-        pose = camera_pose(cam, yaw=yaw, pitch=pitch)
-        hx, hy = rng.uniform(0.05, 0.8, size=2)
-        z0 = rng.uniform(-0.5, 1.5)
-        z1 = z0 + rng.uniform(0.1, 1.5)
-        if case == "across":
-            fwd, lat = rng.uniform(-0.4, 0.4), rng.uniform(-1.5, 1.5)
-            cxy = cam[:2] + fwd * np.array([np.cos(yaw), np.sin(yaw)]) \
-                + lat * np.array([-np.sin(yaw), np.cos(yaw)])
-        elif case == "axis":
-            # one face plane within 1e-12 m of the camera, so edges cross near the axis
-            offset = rng.choice([0.0, 1e-13, -1e-13, 1e-12, -1e-12])
-            sign = rng.choice([-1.0, 1.0])
-            cxy = cam[:2] + rng.uniform(-0.5, 0.5, size=2)
-            axis = rng.integers(2)
-            cxy[axis] = cam[axis] + sign * ((hx, hy)[axis] + offset)
-            z0, z1 = cam[2] - rng.uniform(0.1, 1.0), cam[2] + rng.uniform(0.1, 1.0)
-        elif case == "inside":
-            cxy = cam[:2] + rng.uniform(-1.0, 1.0, size=2) * (hx, hy)
-            z0, z1 = cam[2] - rng.uniform(0.01, 1.0), cam[2] + rng.uniform(0.01, 1.0)
-        elif case == "level":
-            cxy = cam[:2] + rng.uniform(-1.0, 1.0, size=2)
-            if rng.uniform() < 0.5:
-                z0 = cam[2]
-                z1 = z0 + rng.uniform(0.1, 1.0)
-            else:
-                z1 = cam[2]
-                z0 = z1 - rng.uniform(0.1, 1.0)
-        else:
-            cxy = cam[:2] + rng.uniform(-2.0, 2.0, size=2)
-        if rng.uniform() < 0.3:
-            ob = cyl("c", cxy[0], cxy[1], max(hx, hy), z0, z1)
-        else:
-            ob = box("b", cxy[0], cxy[1], hx, hy, z0, z1)
-        return ob, pose, intr
 
     def test_every_hit_pixel_lies_in_the_window(self):
         rng = np.random.default_rng(20261019)
         straddling = 0
         for trial in range(800):
-            ob, pose, intr = self._scene(rng)
-            lo, hi = _aabbs([ob])
-            window = _pixel_windows(lo, hi, pose.translation, pose.rotation, intr)[0]
+            ob, pose, intr = _lone_obstacle(rng)
+            lo, hi = _bounds(ob)
+            window = _window(ob, pose, intr)
             rays = _full_image_rays(intr, pose.rotation)
             if ob.shape is ObstacleShape.BOX:
-                t = _raycast_box(pose.translation, *rays, lo[0], hi[0])
+                t = _raycast_box(pose.translation, *rays, lo, hi)
             else:
                 t = _raycast_cylinder(pose.translation, *rays, ob.center, ob.radius, ob.z_min, ob.z_max)
             hit = np.isfinite(t)
             if window is not None:
                 hit[window] = False
             assert not hit.any(), f"trial {trial}: {ob} misses pixels {np.argwhere(hit)[:5]}"
-            corners = np.array([[x, y, z] for x in (lo[0, 0], hi[0, 0])
-                                for y in (lo[0, 1], hi[0, 1]) for z in (lo[0, 2], hi[0, 2])])
-            qz = (corners - pose.translation) @ pose.rotation[:, 2]
+            qz = (_corners(lo, hi) - pose.translation) @ pose.rotation[:, 2]
             straddling += bool(qz.min() <= 0.0 < qz.max())
         assert straddling > 400
+
+
+class TestWindowsMatchTheArrayCode:
+    """The float windows equal those of the numpy code they replaced (``tests/parent_windows.py``)."""
+
+    def test_same_windows_as_the_array_code(self):
+        rng = np.random.default_rng(20261020)
+        straddling = 0
+        for trial in range(2400):
+            ob, pose, intr = _lone_obstacle(rng)
+            lo, hi = _bounds(ob)
+            want = parent_windows._pixel_windows(
+                np.array([lo]), np.array([hi]), pose.translation, pose.rotation, intr
+            )[0]
+            assert _window(ob, pose, intr) == want, f"trial {trial}: {ob}"
+            qz = (_corners(lo, hi) - pose.translation) @ pose.rotation[:, 2]
+            straddling += bool(qz.min() <= 0.0 < qz.max())
+        assert straddling > 1000
 
 
 class TestRaysAreBuiltOnlyWhenCast:
