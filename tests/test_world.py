@@ -399,7 +399,7 @@ class TestRenderCullingIsExact:
 
 
 def _lone_obstacle(rng):
-    """One obstacle, a camera pose and intrinsics, drawn where the window rule is tight.
+    """A random (obstacle, camera pose, intrinsics) for the pixel window tests.
 
     The draws favour boxes and cylinders across the camera plane, and the
     cases where the window rule is tight: a box edge crossing the camera
