@@ -11,6 +11,7 @@ so ``compose(a, b)`` applies ``b`` first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -43,19 +44,25 @@ class InvalidRotation(Exception):
     """Raised when a rotation matrix is not orthonormal with det +1."""
 
 
-_EYE3 = np.eye(3)
-
-
 def _check_rotation(rotation: np.ndarray) -> np.ndarray:
     rotation = np.asarray(rotation, dtype=np.float64)
     if rotation.shape != (3, 3):
         raise InvalidRotation(f"rotation must be 3x3, got {rotation.shape}")
-    err = np.max(np.abs(rotation.T @ rotation - _EYE3))
-    if not err <= ORTHONORMALITY_TOL:  # NaN-safe: comparisons with NaN are False
-        raise InvalidRotation(f"rotation not orthonormal (max error {err:.3e})")
-    # 3x3 determinant by cofactor expansion; this runs on every pose update
-    # and np.linalg.det's LAPACK round trip doubles the cost of the check
+    # on Python floats: this runs on every pose update, and numpy's per-call
+    # overhead on a 3x3 matrix costs more than the arithmetic
     (a, b, c), (d, e, f), (g, h, i) = rotation.tolist()
+    # the entries of R.T @ R - I; it is symmetric, so six cover it
+    errs = (
+        a * a + d * d + g * g - 1.0,
+        b * b + e * e + h * h - 1.0,
+        c * c + f * f + i * i - 1.0,
+        a * b + d * e + g * h,
+        a * c + d * f + g * i,
+        b * c + e * f + h * i,
+    )
+    if not all(abs(x) <= ORTHONORMALITY_TOL for x in errs):  # NaN-safe: NaN compares False
+        err = math.nan if any(map(math.isnan, errs)) else max(map(abs, errs))
+        raise InvalidRotation(f"rotation not orthonormal (max error {err:.3e})")
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     if not abs(det - 1.0) <= ORTHONORMALITY_TOL:
         raise InvalidRotation(f"rotation determinant {det!r} != +1")
@@ -78,7 +85,7 @@ class RigidTransform:
     def __post_init__(self):
         object.__setattr__(self, "rotation", _check_rotation(self.rotation))
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        if not np.all(np.isfinite(t)):
+        if not all(map(math.isfinite, t.tolist())):
             raise ValueError("translation must be finite")
         object.__setattr__(self, "translation", t)
 
@@ -156,7 +163,7 @@ class PointCloud:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ValueError("point cloud contains non-finite coordinates")
         object.__setattr__(self, "points", pts)
 

@@ -372,6 +372,10 @@ class SweepSpec:
             raise ValueError("sweep needs at least one condition")
         if not self.seeds:
             raise ValueError("sweep needs at least one seed")
+        for kind, values in (("condition", self.conditions), ("seed", self.seeds)):
+            for i, v in enumerate(values):
+                if v in values[:i]:  # the same episode would run twice over one trace
+                    raise ValueError(f"sweep lists {kind} {getattr(v, 'value', v)} more than once")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 

@@ -62,8 +62,8 @@ class Costmap2D:
         return self.cells.shape[1]
 
     def cell_centers(self, mask: np.ndarray) -> np.ndarray:
-        """Metric centers of the cells selected by a boolean mask, as (N, 2)."""
-        ix, iy = np.nonzero(mask)
+        """Metric centers of the cells selected by a boolean mask, as (N, 2), row-major."""
+        ix, iy = np.divmod(np.flatnonzero(mask), np.shape(mask)[1])
         return self.origin + (np.stack([ix, iy], axis=1) + 0.5) * self.resolution
 
 
@@ -99,39 +99,40 @@ _DISK_EDGE_TOL = 1e-9
 
 
 @functools.lru_cache(maxsize=16)
-def _disk_offsets(r_inf: float, resolution: float) -> np.ndarray:
-    """Integer cell offsets whose centers lie within the inflation disk, (M, 2)."""
+def _disk_offsets(r_inf: float, resolution: float, height: int):
+    """The inflation disk's radius r in cells, and the offsets of the cells whose
+    centers lie within the disk as flat indices into a grid of ``height + 2r``
+    columns."""
     r = int(np.floor((r_inf + _DISK_EDGE_TOL) / resolution))
     di = np.arange(-r, r + 1)
     dist_m = np.hypot(di[:, None], di[None, :]) * resolution
-    return np.argwhere(dist_m <= r_inf + _DISK_EDGE_TOL) - r
+    dx, dy = np.nonzero(dist_m <= r_inf + _DISK_EDGE_TOL)
+    return r, (dx - r) * (height + 2 * r) + (dy - r)
 
 
 def inflate(costmap: Costmap2D, r_inf: float) -> Costmap2D:
     """Mark Free cells within r_inf (center to center, Euclidean) of an Occupied cell.
 
-    Occupied cells are unchanged; idempotent for a fixed radius.
+    Occupied cells are unchanged; idempotent for a fixed radius. Occupancy is
+    sparse on these grids, so the cached disk is stamped onto each Occupied
+    cell rather than run as a dense morphology pass: the stamps go into a
+    bool grid padded by the disk radius r on every side, as flat offsets
+    ``di * (height + 2r) + dj``, so no stamp leaves it and none needs a
+    bounds test; the unpadded middle is the reach.
     """
     if r_inf < 0:
         raise ValueError(f"inflation radius must be non-negative, got {r_inf}")
-    occupied = np.argwhere(costmap.cells == OCCUPIED)
-    if r_inf + _DISK_EDGE_TOL < costmap.resolution or len(occupied) == 0:
-        # no neighbor center can be closer than one cell pitch
-        return Costmap2D(costmap.origin, costmap.resolution, costmap.cells.copy())
-    # stamp the disk onto every occupied cell; much cheaper than a dense
-    # morphology pass since occupancy is sparse on these grids
-    stamped = (occupied[:, None, :] + _disk_offsets(r_inf, costmap.resolution)).reshape(-1, 2)
-    keep = (
-        (stamped[:, 0] >= 0)
-        & (stamped[:, 0] < costmap.width)
-        & (stamped[:, 1] >= 0)
-        & (stamped[:, 1] < costmap.height)
-    )
-    stamped = stamped[keep]
     cells = costmap.cells.copy()
-    reach = np.zeros(cells.shape, dtype=bool)
-    reach[stamped[:, 0], stamped[:, 1]] = True
-    cells[reach & (costmap.cells == FREE)] = INFLATED
+    occupied = np.flatnonzero(cells == OCCUPIED)
+    if occupied.size == 0 or r_inf + _DISK_EDGE_TOL < costmap.resolution:
+        # nothing to stamp, or no neighbor center is closer than one cell pitch
+        return Costmap2D(costmap.origin, costmap.resolution, cells)
+    width, height = cells.shape
+    r, disk = _disk_offsets(r_inf, costmap.resolution, height)
+    ix, iy = np.divmod(occupied, height)
+    padded = np.zeros((width + 2 * r, height + 2 * r), dtype=bool)
+    padded.reshape(-1)[((ix + r) * (height + 2 * r) + (iy + r))[:, None] + disk] = True
+    cells[padded[r : r + width, r : r + height] & (costmap.cells == FREE)] = INFLATED
     return Costmap2D(costmap.origin, costmap.resolution, cells)
 
 

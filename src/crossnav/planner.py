@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .perception import Costmap2D, nonfree_centers
+from .perception import FREE, Costmap2D
 
 
 class CommandSource(Enum):
@@ -85,17 +85,45 @@ def attractive_force(robot_xy, goal_xy, k_att: float) -> ForceVector:
 
 
 def _repulsive_terms(robot_xy, costmap: Costmap2D, d0: float):
-    """Distances (raw and clamped) from the robot to each in-range non-free cell."""
-    cells = nonfree_centers(costmap)
-    if cells.shape[0] == 0:
+    """Distances (raw and clamped) from the robot to each in-range non-free cell.
+
+    Only the d0 window is scanned: the cells whose centers lie within d0 of
+    the robot along each axis, padded by one cell against rounding and
+    clipped to the grid. The window keeps the grid's row-major order, and
+    the ``d < d0`` mask drops every cell outside it, so the cells come out
+    in the order that a scan of the whole grid gives.
+    """
+    robot = np.asarray(robot_xy, dtype=np.float64)
+    rx, ry = robot.tolist()
+    ox, oy = costmap.origin.tolist()
+    res = costmap.resolution
+    i0, i1 = _window(rx - ox, d0, res, costmap.width)
+    j0, j1 = _window(ry - oy, d0, res, costmap.height)
+    if i0 >= i1 or j0 >= j1:
         return None
-    diff = np.asarray(robot_xy, dtype=np.float64) - cells
+    ix, iy = np.divmod(np.flatnonzero(costmap.cells[i0:i1, j0:j1] != FREE), j1 - j0)
+    if ix.size == 0:
+        return None
+    diff = robot - (costmap.origin + (np.stack([ix + i0, iy + j0], axis=1) + 0.5) * res)
     d = np.hypot(diff[:, 0], diff[:, 1])
     mask = (d < d0) & (d > 1e-12)
     if not mask.any():
         return None
     d = d[mask]
-    return diff[mask], d, np.maximum(d, costmap.resolution / 2.0)
+    return diff[mask], d, np.maximum(d, res / 2.0)
+
+
+def _window(offset: float, d0: float, res: float, n: int):
+    """Index range [lo, hi) of the cells i whose centers (i + 0.5) * res lie
+    within d0 of ``offset`` along one axis, padded by one cell on each side
+    and clipped to [0, n)."""
+    lo = (offset - d0) / res - 0.5
+    hi = (offset + d0) / res - 0.5
+    if not lo <= hi:  # NaN: no cell is in range
+        return 0, 0
+    # clamped first, so that an infinite offset or d0 still gives whole numbers
+    lo, hi = min(max(lo, -1.0), n), min(max(hi, -1.0), n)
+    return max(math.ceil(lo) - 1, 0), min(math.floor(hi) + 2, n)
 
 
 def repulsive_force(robot_xy, costmap: Costmap2D, k_rep: float, d0: float) -> ForceVector:

@@ -1014,7 +1014,7 @@ def _exec_round(cmd: VelocityCommand, threshold: float) -> VelocityCommand:
     def snap(v: float) -> float:
         return 0.0 if abs(v) <= threshold else v
 
-    return replace(cmd, v_x=snap(cmd.v_x), v_y=snap(cmd.v_y), w_z=snap(cmd.w_z))
+    return VelocityCommand(snap(cmd.v_x), snap(cmd.v_y), snap(cmd.w_z), cmd.stamp, cmd.source)
 
 
 def run_episode(

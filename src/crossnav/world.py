@@ -172,7 +172,7 @@ class CameraIntrinsics:
         """Square-pixel pinhole from a horizontal field of view."""
         if not 0.0 < hfov_deg < 180.0:
             raise ValueError(f"field of view {hfov_deg} deg must lie strictly between 0 and 180")
-        f = (width / 2.0) / np.tan(np.radians(hfov_deg) / 2.0)
+        f = float((width / 2.0) / np.tan(np.radians(hfov_deg) / 2.0))
         return cls(f, f, width / 2.0, height / 2.0, width, height, max_range)
 
 
@@ -320,7 +320,7 @@ def _pixel_window(lo, hi, origin, r, intr: CameraIntrinsics):
     front = [c for c in q if c[2] > 0.0]
     if not front:
         return None
-    fx, fy, px, py = float(intr.fx), float(intr.fy), float(intr.cx), float(intr.cy)
+    fx, fy, px, py = intr.fx, intr.fy, intr.cx, intr.cy
     us = [fx * x / z + px for x, _, z in front]  # q_z near 0 sends u, v towards +-inf
     vs = [fy * y / z + py for _, y, z in front]
     u_min, u_max, v_min, v_max = min(us), max(us), min(vs), max(vs)

@@ -6,6 +6,7 @@ fail. A renamed or dropped name would otherwise surface only when a
 benchmark record runs.
 """
 
+import collections
 import importlib.util
 import subprocess
 import sys
@@ -44,3 +45,26 @@ def test_bench_selftest_passes():
         [sys.executable, "bench/selftest.py"], cwd=ROOT, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_every_planner_tick_runs_each_costmap_and_planner_layer_once(tmp_path):
+    # the per-layer figures are means over these spans; a refactor that
+    # stopped calling one through its module attribute would zero its figure
+    config = harness.load_scenario("hanging_lamp")
+    hooks = tracer.Tracer(TARGETS)
+    hooks.install()
+    try:
+        sim.run_episode(config, sim.Condition.CROSS_VIEW, 0, tmp_path)
+    finally:
+        hooks.uninstall()
+    spans = hooks.take()
+    counts = collections.Counter(name for name, *_ in spans)
+    ticks = counts["robot_branch_observation"]
+    assert ticks > 100
+    per_tick = ("passthrough_filter", "build_costmap", "inflate", "apf_force", "admittance_map", "roi_min_depth")
+    assert {name: counts[name] for name in per_tick} == dict.fromkeys(per_tick, ticks)
+    # the sensing layers run inside the observation, where the tracer
+    # attributes them
+    for name, _, _, parent, _ in spans:
+        if name in ("passthrough_filter", "build_costmap", "inflate"):
+            assert spans[parent][0] == "robot_branch_observation"

@@ -576,6 +576,22 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepSpec(str(MINI), (Condition.UNASSISTED,), (0,), "out", jobs=0)
 
+    def test_spec_refuses_a_repeated_condition_or_seed(self):
+        # a repeat would run the same episode twice over one trace file and
+        # count it twice in the summary
+        with pytest.raises(ValueError, match="condition singleview more than once"):
+            SweepSpec(str(MINI), (Condition.SINGLE_VIEW, Condition.SINGLE_VIEW), (0,), "out")
+        with pytest.raises(ValueError, match="seed 3 more than once"):
+            SweepSpec(str(MINI), (Condition.UNASSISTED,), (3, 1, 3), "out")
+        SweepSpec(str(MINI), (Condition.UNASSISTED, Condition.SINGLE_VIEW), (1, 3), "out")
+
+    def test_cli_refuses_a_repeated_condition_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--scenario", str(MINI), "--seeds", "0", "--out", str(out)]
+        assert cli.main(argv + ["--conditions", "singleview,singleview"]) != 0
+        assert "condition singleview more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_runs_every_cell_in_stable_order(self, tmp_path):
         spec = SweepSpec(
             scenario=str(MINI),

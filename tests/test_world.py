@@ -144,6 +144,12 @@ class TestIntrinsics:
         assert hfov == pytest.approx(75.0)
         assert intr.cx == 80.0 and intr.cy == 60.0
 
+    def test_from_fov_stores_python_floats(self):
+        # the pixel windows run on Python floats; a numpy scalar here would
+        # send their arithmetic through numpy
+        intr = CameraIntrinsics.from_fov(width=160, height=120, hfov_deg=60.0, max_range=5.0)
+        assert [type(v) for v in (intr.fx, intr.fy, intr.cx, intr.cy)] == [float] * 4
+
     @pytest.mark.parametrize("hfov_deg", [0.0, -10.0, 180.0, 200.0, float("nan")])
     def test_from_fov_rejects_degenerate_field_of_view(self, hfov_deg):
         # 0 deg gives an infinite focal length, 180 deg a vanishing one
