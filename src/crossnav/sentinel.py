@@ -72,9 +72,18 @@ class SentinelConfig:
 
 
 def roi_min_depth(img: DepthImage, roi: RoiSpec) -> Optional[float]:
-    """Minimum valid depth inside the region, or None when nothing returns."""
+    """Minimum valid depth inside the region, or None when nothing returns.
+
+    Only the region's overlap with the image's return box is scanned, since
+    no valid pixel lies outside the box.
+    """
     roi.check_fits(img.intrinsics)
-    window = img.depth[roi.v_min : roi.v_max, roi.u_min : roi.u_max]
+    top, bottom, left, right = img.box
+    v_min, v_max = max(roi.v_min, top), min(roi.v_max, bottom)
+    u_min, u_max = max(roi.u_min, left), min(roi.u_max, right)
+    if v_min >= v_max or u_min >= u_max:
+        return None
+    window = img.depth[v_min:v_max, u_min:u_max]
     valid = np.isfinite(window) & (window > 0)
     if not valid.any():
         return None

@@ -33,7 +33,6 @@ from .geometry import (
     compose,
     optical_to_physical,
     rot_y,
-    rot_z,
     transform_points,
 )
 from .human_branch import HumanBranch, HumanSafetyParams
@@ -383,20 +382,47 @@ def _chest_mount(rig: SensorRig, bend: BendPose, chest_height_m: float) -> Rigid
     )
 
 
+def _world_pose(x: float, y: float, heading: float, mount: RigidTransform) -> RigidTransform:
+    """compose(RigidTransform(rot_z(heading), (x, y, 0)), mount) on Python floats.
+
+    One checked transform and no matrix product, so no BLAS kernel choice
+    reaches the pose. Each rotation entry is accumulated as
+    ((0.0 + a_i0 b_0j) + a_i1 b_1j) + a_i2 b_2j, the order in which
+    ``compose``'s 3x3 product rounds (``tests/test_sim.py::TestCameraPoses``
+    holds it to those bits), and the translation rot_z(heading) @ t + (x, y, 0)
+    in the same order. The cosine and sine are numpy's, as in ``rot_z``. With
+    no lateral mount offset, as on every shipped rig, the translation has
+    ``compose``'s bits too; with one, a kernel that fuses the multiply-adds of
+    ``compose``'s matrix-vector product may round its last bit differently.
+    """
+    c, s = float(np.cos(heading)), float(np.sin(heading))
+    a = ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0))
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = mount.rotation.tolist()
+    t0, t1, t2 = mount.translation.tolist()
+    rotation = [
+        [((0.0 + a0 * m00) + a1 * m10) + a2 * m20,
+         ((0.0 + a0 * m01) + a1 * m11) + a2 * m21,
+         ((0.0 + a0 * m02) + a1 * m12) + a2 * m22]
+        for a0, a1, a2 in a
+    ]
+    translation = [
+        (((0.0 + a0 * t0) + a1 * t1) + a2 * t2) + o for (a0, a1, a2), o in zip(a, (x, y, 0.0))
+    ]
+    return RigidTransform(np.array(rotation), np.array(translation), mount.from_frame, FrameId.WORLD)
+
+
 def robot_camera_pose(robot_pose: np.ndarray, rig: SensorRig) -> RigidTransform:
     """World pose of the robot's forward depth camera (optical frame)."""
-    x, y, th = robot_pose
-    world_from_base = RigidTransform(rot_z(th), np.array([x, y, 0.0]), FrameId.ROBOT_BASE, FrameId.WORLD)
-    return compose(world_from_base, _robot_mount(rig))
+    x, y, th = map(float, robot_pose)
+    return _world_pose(x, y, th, _robot_mount(rig))
 
 
 def chest_camera_pose(
     human_pose: np.ndarray, bend: BendPose, rig: SensorRig, chest_height_m: float
 ) -> RigidTransform:
     """World pose of the chest-mounted depth camera; bending pitches it down."""
-    x, y, heading = human_pose
-    world_from_body = RigidTransform(rot_z(heading), np.array([x, y, 0.0]), FrameId.PHYSICAL_HUMAN, FrameId.WORLD)
-    return compose(world_from_body, _chest_mount(rig, bend, chest_height_m))
+    x, y, heading = map(float, human_pose)
+    return _world_pose(x, y, heading, _chest_mount(rig, bend, chest_height_m))
 
 
 def robot_branch_observation(
@@ -419,11 +445,10 @@ def robot_branch_observation(
         img = apply_depth_noise(img, depth_sigma, rng)
     cloud = transform_points(_robot_mount(rig), deproject(img))
     band = passthrough_filter(cloud, spec.z_band_low_m, spec.z_band_high_m)
-    map_points = band.points
+    merged = band
     if extra_xy is not None and extra_xy.shape[0] > 0:
         pad = np.column_stack([extra_xy, np.zeros(extra_xy.shape[0])])
-        map_points = np.vstack([map_points, pad]) if map_points.size else pad
-    merged = PointCloud(map_points, FrameId.ROBOT_BASE)
+        merged = PointCloud(np.vstack([band.points, pad]) if len(band) else pad, FrameId.ROBOT_BASE)
     grid = build_costmap(merged, spec.origin_xy, spec.resolution_m, spec.width, spec.height)
     return img, band, inflate(grid, spec.r_inf_m)
 

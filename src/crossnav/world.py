@@ -12,15 +12,18 @@ a side that the box's section with the camera plane reaches. The windows are
 found on Python floats, one box at a time, without a matrix product. A render
 fills the image with NaN once and allocates its hit buffer only over the union
 box of the cast windows, so its cost follows the cast pixels, not the image.
+The image carries that union box as its return box (``DepthImage.box``), empty
+when nothing was cast, and ``deproject`` scans only the box.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -53,19 +56,22 @@ class Obstacle:
     radius: Optional[float] = None  # cylinders only
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64).reshape(2))
+        center = np.asarray(self.center, dtype=np.float64).reshape(2)
+        object.__setattr__(self, "center", center)
+        if not all(map(math.isfinite, (*center.tolist(), self.z_min, self.z_max))):
+            raise ValueError(f"obstacle {self.obstacle_id}: center and z span must be finite")
         if self.z_min >= self.z_max:
             raise ValueError(f"obstacle {self.obstacle_id}: z_min must be < z_max")
         if self.shape is ObstacleShape.BOX:
             if self.half_extents is None:
                 raise ValueError(f"obstacle {self.obstacle_id}: box needs half_extents")
             he = np.asarray(self.half_extents, dtype=np.float64).reshape(2)
-            if np.any(he <= 0):
-                raise ValueError(f"obstacle {self.obstacle_id}: half_extents must be positive")
+            if not all(0.0 < h < math.inf for h in he.tolist()):  # NaN too
+                raise ValueError(f"obstacle {self.obstacle_id}: half_extents must be positive and finite")
             object.__setattr__(self, "half_extents", he)
         else:
-            if self.radius is None or self.radius <= 0:
-                raise ValueError(f"obstacle {self.obstacle_id}: cylinder needs positive radius")
+            if self.radius is None or not 0.0 < self.radius < math.inf:  # NaN too
+                raise ValueError(f"obstacle {self.obstacle_id}: cylinder needs a positive, finite radius")
 
     def footprint_distance(self, xy) -> float:
         """Signed 2D distance from a point to the footprint boundary (< 0 inside)."""
@@ -158,12 +164,12 @@ class CameraIntrinsics:
     max_range: float
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        if not all(v > 0 and math.isfinite(v) for v in (self.fx, self.fy)):  # NaN too
+            raise ValueError("focal lengths must be positive and finite")
         if not (0 <= self.cx < self.width) or not (0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
-        if self.max_range <= 0:
-            raise ValueError("max_range must be positive")
+        if not (self.max_range > 0 and math.isfinite(self.max_range)):
+            raise ValueError("max_range must be positive and finite")
 
     @classmethod
     def from_fov(
@@ -178,17 +184,34 @@ class CameraIntrinsics:
 
 @dataclass(frozen=True)
 class DepthImage:
-    """Per-pixel metric depth (optical Z); NaN marks pixels with no return."""
+    """Per-pixel metric depth (optical Z); NaN marks pixels with no return.
+
+    ``box`` is the return box (top, bottom, left, right): rows [top, bottom)
+    and columns [left, right) hold every pixel with a finite depth, so a
+    reader may scan the box alone. Top equal to bottom, or left to right, is
+    an empty box: the image has no return. None, the default, means the whole
+    image and is stored as such, so images built without a box still work.
+    The box is checked against the image size, not against the depths.
+    """
 
     intrinsics: CameraIntrinsics
     depth: np.ndarray  # (height, width) float64, NaN = invalid
     frame: FrameId
+    box: Optional[Tuple[int, int, int, int]] = None
 
     def __post_init__(self):
         d = np.asarray(self.depth, dtype=np.float64)
-        if d.shape != (self.intrinsics.height, self.intrinsics.width):
+        height, width = self.intrinsics.height, self.intrinsics.width
+        if d.shape != (height, width):
             raise ValueError(f"depth shape {d.shape} does not match intrinsics")
         object.__setattr__(self, "depth", d)
+        if self.box is None:
+            object.__setattr__(self, "box", (0, height, 0, width))
+            return
+        top, bottom, left, right = box = tuple(map(operator.index, self.box))  # integers only
+        if not (0 <= top <= bottom <= height and 0 <= left <= right <= width):
+            raise ValueError(f"return box {box} does not fit the {width}x{height} image")
+        object.__setattr__(self, "box", box)
 
     def valid_mask(self) -> np.ndarray:
         return np.isfinite(self.depth) & (self.depth > 0)
@@ -207,57 +230,83 @@ def _ray_axes(intr: CameraIntrinsics):
     return x, y
 
 
-def _raycast_box(origin, dx, dy, dz, lo, hi) -> np.ndarray:
-    """Nearest positive hit parameter of each ray (dx, dy, dz) against box [lo, hi]; inf where none.
+def _raycast_box(origin, dx, dy, dz, lo, hi, best) -> np.ndarray:
+    """Lower ``best`` to the nearest positive hit parameter of each ray (dx, dy, dz) against box [lo, hi].
 
-    Rays with a zero direction component that start on a slab face are treated
-    as inside that slab (fmin/fmax drop the resulting NaNs).
+    ``best`` (inf: no hit yet) is updated in place and returned. Rays with a
+    zero direction component that start on a slab face are treated as inside
+    that slab (fmin/fmax drop the resulting NaNs).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # slab by slab: near = fmax of the entries, far = fmin of the exits
+        for axis, (d, o, low, high) in enumerate(zip((dx, dy, dz), origin, lo, hi)):
+            t2 = np.divide(1.0, d)  # +-inf on zero components
+            t1 = (low - o) * t2
+            t2 *= high - o
+            if axis == 0:
+                near, far = np.fmin(t1, t2), np.fmax(t1, t2, out=t1)
+            else:
+                np.fmax(near, np.fmin(t1, t2), out=near)
+                np.fmin(far, np.fmax(t1, t2, out=t1), out=far)
+        valid = far >= near
+        valid &= far > _EPS
+        # the entry where it lies ahead, else the exit (the origin is inside)
+        np.copyto(far, near, where=near > _EPS)
+        np.minimum(best, far, out=best, where=valid)
+    return best
+
+
+def _raycast_cylinder(origin, dx, dy, dz, center, r, z1, z2, best) -> np.ndarray:
+    """Lower ``best`` to the nearest positive hit of each ray (dx, dy, dz) against one vertical cylinder.
+
+    Sides and caps; ``best`` (inf: no hit yet) is updated in place and
+    returned. A hit parameter that is NaN or not above _EPS fails its test,
+    so rays parallel to the axis (no side hit) and to the caps (an infinite
+    cap parameter leaves the radius test NaN or inf) need no mask of their own.
     """
     ox, oy, oz = origin
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ix, iy, iz = 1.0 / dx, 1.0 / dy, 1.0 / dz  # +-inf on zero components
-        tx1 = (lo[0] - ox) * ix
-        tx2 = (hi[0] - ox) * ix
-        ty1 = (lo[1] - oy) * iy
-        ty2 = (hi[1] - oy) * iy
-        tz1 = (lo[2] - oz) * iz
-        tz2 = (hi[2] - oz) * iz
-        t_near = np.fmax(np.fmax(np.fmin(tx1, tx2), np.fmin(ty1, ty2)), np.fmin(tz1, tz2))
-        t_far = np.fmin(np.fmin(np.fmax(tx1, tx2), np.fmax(ty1, ty2)), np.fmax(tz1, tz2))
-        t = np.where(t_near > _EPS, t_near, t_far)  # origin inside: first exit
-        t[~((t_far >= t_near) & (t_far > _EPS))] = np.inf
-    return t
-
-
-def _raycast_cylinder(origin, dx, dy, dz, center, r, z1, z2) -> np.ndarray:
-    """Nearest positive hit of each ray (dx, dy, dz) against one vertical cylinder (sides and caps)."""
-    ox, oy, oz = origin
     cx0, cy0 = center
-    a = dx * dx + dy * dy
-    a_ok = a > _EPS
+    px, py = ox - cx0, oy - cy0
+    a = dx * dx
+    a += dy * dy
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv_a = np.where(a_ok, a, np.inf) ** -1.0
-        inv_dz = 1.0 / dz  # +-inf on horizontal-plane-parallel rays
-    best = np.full(a.shape, np.inf)
-    with np.errstate(invalid="ignore"):
-        px, py = ox - cx0, oy - cy0
-        half_b = px * dx + py * dy
-        c = px * px + py * py - r * r  # scalar: camera offset is per-cylinder
-        disc = half_b * half_b - a * c
-        ok = a_ok & (disc >= 0.0)
-        sq = np.sqrt(np.where(ok, disc, 0.0))
-        for sign in (-1.0, 1.0):
-            t = (sign * sq - half_b) * inv_a
-            z = oz + t * dz
-            t[~(ok & (t > _EPS) & (z >= z1) & (z <= z2))] = np.inf
-            np.minimum(best, t, out=best)
+        inv_a = np.divide(1.0, a, out=np.zeros_like(a), where=a > _EPS)  # 0: t is 0 or NaN
+        half_b = px * dx
+        half_b += py * dy
+        disc = half_b * half_b
+        disc -= a * (px * px + py * py - r * r)  # the scalar is per-cylinder
+        sq = np.sqrt(disc, out=disc)  # NaN where the ray misses the circle
+        t = np.add(sq, half_b)
+        np.negative(t, out=t)  # the near root, -(sq + half_b) / a
+        z = np.empty_like(t)
+        valid = np.empty(t.shape, dtype=bool)
+        for root in range(2):
+            if root:
+                np.subtract(sq, half_b, out=t)  # the far root
+            t *= inv_a
+            np.multiply(t, dz, out=z)
+            z += oz
+            np.greater(t, _EPS, out=valid)
+            valid &= z >= z1
+            valid &= z <= z2
+            np.minimum(best, t, out=best, where=valid)
         # caps
+        inv_dz = np.divide(1.0, dz)  # +-inf on rays parallel to the caps
+        hx, hy = z, np.empty_like(t)
         for z_cap in (z1, z2):
-            t = (z_cap - oz) * inv_dz
-            hx = ox + t * dx - cx0
-            hy = oy + t * dy - cy0
-            t[~(np.isfinite(t) & (t > _EPS) & (hx * hx + hy * hy <= r * r))] = np.inf
-            np.minimum(best, t, out=best)
+            np.multiply(inv_dz, z_cap - oz, out=t)
+            np.multiply(t, dx, out=hx)
+            hx += ox
+            hx -= cx0
+            np.multiply(t, dy, out=hy)
+            hy += oy
+            hy -= cy0
+            hx *= hx
+            hy *= hy
+            hx += hy
+            np.greater(t, _EPS, out=valid)
+            valid &= hx <= r * r
+            np.minimum(best, t, out=best, where=valid)
     return best
 
 
@@ -364,7 +413,8 @@ def render_depth(
 
     The image starts as one NaN fill. Rays, the hit buffer and the range
     select cover only the union box of the cast windows, so a frame that
-    casts nothing costs that fill alone.
+    casts nothing costs that fill alone. That union box is the image's
+    return box; a frame that casts nothing gets the empty box (0, 0, 0, 0).
 
     ``camera_pose_world`` must map an optical frame into the world frame.
     Pixels with no hit inside (0, max_range] are NaN. Pure and deterministic.
@@ -397,7 +447,7 @@ def render_depth(
         if window is not None:
             cast.append((ob, lo, hi, window))
     if not cast:
-        return DepthImage(intr, depth, camera_pose_world.from_frame)
+        return DepthImage(intr, depth, camera_pose_world.from_frame, (0, 0, 0, 0))
 
     # the union box of the windows holds every cast pixel
     top = min(w[0].start for *_, w in cast)
@@ -410,19 +460,18 @@ def render_depth(
         # the window's rays, element-wise from its columns and rows
         xs, ys = x[cols], y[rows, None]
         dx, dy, dz = (r[i][0] * xs + r[i][1] * ys + r[i][2] for i in range(3))
-        if ob.shape is ObstacleShape.BOX:
-            t = _raycast_box(origin, dx, dy, dz, lo, hi)
-        else:
-            t = _raycast_cylinder(origin, dx, dy, dz, ob.center, ob.radius, ob.z_min, ob.z_max)
         best = t_best[rows.start - top:rows.stop - top, cols.start - left:cols.stop - left]
-        np.minimum(best, t, out=best)
+        if ob.shape is ObstacleShape.BOX:
+            _raycast_box(origin, dx, dy, dz, lo, hi, best)
+        else:
+            _raycast_cylinder(origin, dx, dy, dz, ob.center, ob.radius, ob.z_min, ob.z_max, best)
 
     np.copyto(depth[top:bottom, left:right], t_best, where=(t_best > 0) & (t_best <= intr.max_range))
-    return DepthImage(intr, depth, camera_pose_world.from_frame)
+    return DepthImage(intr, depth, camera_pose_world.from_frame, (top, bottom, left, right))
 
 
 def apply_depth_noise(img: DepthImage, sigma: float, rng: np.random.Generator) -> DepthImage:
-    """Zero-mean Gaussian depth noise on valid pixels, clipped to (0, max_range]."""
+    """Zero-mean Gaussian depth noise on valid pixels, clipped to (0, max_range]; keeps the return box."""
     if sigma <= 0:
         return img
     mask = img.valid_mask()
@@ -432,19 +481,27 @@ def apply_depth_noise(img: DepthImage, sigma: float, rng: np.random.Generator) -
         np.finfo(np.float64).tiny,
         img.intrinsics.max_range,
     )
-    return DepthImage(img.intrinsics, noisy, img.frame)
+    return DepthImage(img.intrinsics, noisy, img.frame, img.box)
 
 
 def deproject(img: DepthImage) -> PointCloud:
-    """Back-project valid pixels into an optical-frame point cloud (row-major order)."""
+    """Back-project valid pixels into an optical-frame point cloud (row-major order).
+
+    Only the image's return box is scanned. It holds every valid pixel, and
+    its own row-major order is the image's, so the cloud is that of a scan of
+    the whole image; an empty box costs no scan at all.
+    """
+    top, bottom, left, right = img.box
+    if top == bottom or left == right:
+        return PointCloud(np.empty((0, 3)), img.frame)
     x, y = _ray_axes(img.intrinsics)
-    flat = img.depth.ravel()
+    flat = img.depth[top:bottom, left:right].ravel()
     index = np.flatnonzero(flat > 0)  # NaN fails the test; +inf is dropped next
     index = index[np.isfinite(flat[index])]
-    rows, cols = np.divmod(index, img.intrinsics.width)
+    rows, cols = np.divmod(index, right - left)
     d = flat[index]
     points = np.empty((index.size, 3))
-    np.multiply(x[cols], d, out=points[:, 0])
-    np.multiply(y[rows], d, out=points[:, 1])
+    np.multiply(x[left:right][cols], d, out=points[:, 0])
+    np.multiply(y[top:bottom][rows], d, out=points[:, 1])
     points[:, 2] = d
     return PointCloud(points, img.frame)

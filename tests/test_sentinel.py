@@ -64,6 +64,18 @@ class TestRoiMinDepth:
         depth[8, 49] = 0.7  # last included column
         assert roi_min_depth(image(depth), roi) == 0.7
 
+    def test_scans_only_the_overlap_with_the_return_box(self):
+        # pixels outside the box are never read: a box that misses them hides them
+        depth = np.full((48, 64), 3.0)
+        depth[20, 30] = 0.4
+        roi = RoiSpec(10, 50, 8, 40)
+        assert roi_min_depth(DepthImage(INTR, depth, FrameId.OPTICAL_DOG, (20, 21, 30, 31)), roi) == 0.4
+        assert roi_min_depth(DepthImage(INTR, depth, FrameId.OPTICAL_DOG, (0, 8, 0, 64)), roi) is None
+        assert roi_min_depth(DepthImage(INTR, depth, FrameId.OPTICAL_DOG, (0, 0, 0, 0)), roi) is None
+        assert roi_min_depth(DepthImage(INTR, depth, FrameId.OPTICAL_DOG, (39, 48, 49, 64)), roi) == 3.0
+        with pytest.raises(RoiOutOfBounds):  # the fit is checked even when the box is empty
+            roi_min_depth(DepthImage(INTR, depth, FrameId.OPTICAL_DOG, (0, 0, 0, 0)), RoiSpec(10, 65, 8, 40))
+
     def test_roi_must_fit_image(self):
         depth = np.full((48, 64), 1.0)
         with pytest.raises(RoiOutOfBounds):

@@ -13,7 +13,7 @@ import pytest
 
 from crossnav import sim
 from crossnav.arbiter import ArbiterConfig, ArbitrationDecision
-from crossnav.geometry import FrameId, RigidTransform
+from crossnav.geometry import FrameId, RigidTransform, compose, rot_z
 from crossnav.human_branch import HumanSafetyParams, detect_hazard
 from crossnav.perception import nonfree_centers
 from crossnav.planner import ApfParams, CommandSource, VelocityCommand
@@ -481,17 +481,80 @@ class TestMounts:
         robot_branch_observation(scene, np.zeros(3), rig, PerceptionSpec())  # warm-up
         for bend in BendPose:
             chest_observation(scene, human, bend, rig)
+        # one checked transform per frame: the world pose, composed on floats
         transforms_built[0] = 0
         robot_branch_observation(scene, np.array([0.1, 0.0, 0.2]), rig, PerceptionSpec())
-        assert transforms_built[0] == 2
+        assert transforms_built[0] == 1
         for bend in BendPose:
             transforms_built[0] = 0
             chest_observation(scene, human, bend, rig)
-            assert transforms_built[0] == 2
+            assert transforms_built[0] == 1
+
+
+class TestCameraPoses:
+    """The world camera poses, built on floats, have the bits of the composition they replaced."""
+
+    HEADINGS = (0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi)
+
+    @staticmethod
+    def composed(pose, mount):
+        x, y, th = pose
+        platform = RigidTransform(rot_z(th), np.array([x, y, 0.0]), mount.to_frame, FrameId.WORLD)
+        return compose(platform, mount)
+
+    def poses(self, rng):
+        out = [(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0), rng.uniform(-7.0, 7.0))
+               for _ in range(150)]
+        for th in self.HEADINGS:
+            out += [(0.0, -0.0, th), (-0.0, 0.0, th), tuple(rng.uniform(-5.0, 5.0, size=2)) + (th,)]
+        return out
+
+    def test_matches_the_composition_bitwise(self):
+        rng = np.random.default_rng(20261022)
+        rigs = [default_rig()] + [
+            dataclasses.replace(
+                default_rig(),
+                robot_mount_xyz=(rng.uniform(-0.5, 0.5), rng.choice([0.0, -0.0]), rng.uniform(0.0, 1.0)),
+                robot_mount_pitch_rad=rng.uniform(-0.6, 0.6),
+                chest_forward_m=rng.choice([0.0, rng.uniform(0.0, 0.3)]),
+                bend_pitch_rad=rng.uniform(0.0, 0.9),
+            )
+            for _ in range(6)
+        ]
+        for rig in rigs:
+            for pose in self.poses(rng):
+                want = self.composed(pose, _robot_mount(rig))
+                assert pose_bytes(robot_camera_pose(np.array(pose), rig)) == pose_bytes(want), pose
+                for bend in BendPose:
+                    for height in (1.1, 1.3):
+                        want = self.composed(pose, _chest_mount(rig, bend, height))
+                        got = chest_camera_pose(np.array(pose), bend, rig, height)
+                        assert pose_bytes(got) == pose_bytes(want), (pose, bend)
+
+    def test_a_lateral_mount_offset_agrees_to_rounding(self):
+        # a BLAS kernel may fuse the product's multiply-adds, so only the
+        # rotation is held to the bit here
+        rng = np.random.default_rng(20261023)
+        rig = dataclasses.replace(default_rig(), robot_mount_xyz=(0.2, 0.13, 0.4), robot_mount_pitch_rad=0.3)
+        for pose in self.poses(rng):
+            got, want = robot_camera_pose(np.array(pose), rig), self.composed(pose, _robot_mount(rig))
+            assert got.rotation.tobytes() == want.rotation.tobytes()
+            np.testing.assert_allclose(got.translation, want.translation, rtol=0.0, atol=1e-14)
+            assert (got.from_frame, got.to_frame) == (want.from_frame, want.to_frame)
 
 
 class TestRobotBranchObservation:
     SPEC = PerceptionSpec()
+
+    def test_the_band_goes_to_the_costmap_as_it_is_without_memory(self, monkeypatch):
+        seen = []  # the filtered band, then the cloud the costmap is built from
+        band_of, build = sim.passthrough_filter, sim.build_costmap
+        monkeypatch.setattr(sim, "passthrough_filter", lambda *args: seen.append(band_of(*args)) or seen[-1])
+        monkeypatch.setattr(sim, "build_costmap", lambda cloud, *args: seen.append(cloud) or build(cloud, *args))
+        scene = scene_of([box((1.5, 0.0), (0.2, 0.3))])
+        robot_branch_observation(scene, np.zeros(3), default_rig(), self.SPEC)
+        band, mapped = seen
+        assert len(band) > 0 and mapped is band
 
     def test_ground_obstacle_lands_in_the_costmap(self):
         scene = scene_of([box((1.5, 0.0), (0.2, 0.3))])

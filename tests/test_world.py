@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import parent_casters
 import parent_windows
 from crossnav import world
 from crossnav.geometry import FrameId, RigidTransform, rot_y, rot_z
+from crossnav.sentinel import RoiSpec, default_roi, roi_min_depth
 from crossnav.world import (
     CameraIntrinsics,
     DepthImage,
@@ -77,6 +79,19 @@ class TestObstacle:
     def test_rejects_empty_z_span(self):
         with pytest.raises(ValueError):
             cyl("c", 0.0, 0.0, 0.5, 1.0, 1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("center", (np.nan, 0.0)), ("center", (0.0, np.inf)), ("z_min", np.nan), ("z_min", -np.inf),
+        ("z_max", np.nan), ("z_max", np.inf), ("radius", np.nan), ("radius", np.inf),
+        ("half_extents", (np.nan, 0.2)), ("half_extents", (0.2, np.inf)),
+    ])
+    def test_rejects_non_finite_geometry(self, field, value):
+        shape = ObstacleShape.BOX if field == "half_extents" else ObstacleShape.CYLINDER
+        args = dict(obstacle_id="o", shape=shape, center=np.zeros(2), z_min=0.0, z_max=1.0,
+                    kind=ObstacleKind.GROUND, half_extents=np.array([0.2, 0.2]), radius=0.2)
+        Obstacle(**args)  # the base case is valid
+        with pytest.raises(ValueError, match="finite"):
+            Obstacle(**{**args, field: value})
 
     def test_cylinder_footprint_distance(self):
         c = cyl("c", 1.0, 0.0, 0.5, 0.0, 1.0)
@@ -155,6 +170,16 @@ class TestIntrinsics:
         # 0 deg gives an infinite focal length, 180 deg a vanishing one
         with pytest.raises(ValueError, match="field of view"):
             CameraIntrinsics.from_fov(width=160, height=120, hfov_deg=hfov_deg, max_range=5.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("fx", np.nan), ("fx", np.inf), ("fy", np.nan), ("fy", np.inf), ("fy", -1.0),
+        ("max_range", np.nan), ("max_range", np.inf), ("max_range", 0.0),
+    ])
+    def test_rejects_non_finite_or_non_positive_scales(self, field, value):
+        good = dict(fx=100.0, fy=100.0, cx=80.0, cy=60.0, width=160, height=120, max_range=5.0)
+        CameraIntrinsics(**good)
+        with pytest.raises(ValueError, match="positive and finite"):
+            CameraIntrinsics(**{**good, field: value})
 
     def test_rejects_bad_principal_point(self):
         with pytest.raises(ValueError):
@@ -295,10 +320,9 @@ def _full_image_cast(scene, pose, intr):
         if ob.shape is ObstacleShape.BOX:
             bmin = [*(ob.center - ob.half_extents), ob.z_min]
             bmax = [*(ob.center + ob.half_extents), ob.z_max]
-            t = _raycast_box(origin, *rays, bmin, bmax)
+            _raycast_box(origin, *rays, bmin, bmax, t_best)
         else:
-            t = _raycast_cylinder(origin, *rays, ob.center, ob.radius, ob.z_min, ob.z_max)
-        t_best = np.minimum(t_best, t)
+            _raycast_cylinder(origin, *rays, ob.center, ob.radius, ob.z_min, ob.z_max, t_best)
     return np.where((t_best > 0) & (t_best <= intr.max_range), t_best, np.nan)
 
 
@@ -473,10 +497,11 @@ class TestWindowsHoldEveryHit:
             lo, hi = _bounds(ob)
             window = _window(ob, pose, intr)
             rays = _full_image_rays(intr, pose.rotation)
+            t = np.full(rays[0].shape, np.inf)
             if ob.shape is ObstacleShape.BOX:
-                t = _raycast_box(pose.translation, *rays, lo, hi)
+                _raycast_box(pose.translation, *rays, lo, hi, t)
             else:
-                t = _raycast_cylinder(pose.translation, *rays, ob.center, ob.radius, ob.z_min, ob.z_max)
+                _raycast_cylinder(pose.translation, *rays, ob.center, ob.radius, ob.z_min, ob.z_max, t)
             hit = np.isfinite(t)
             if window is not None:
                 hit[window] = False
@@ -502,6 +527,148 @@ class TestWindowsMatchTheArrayCode:
             qz = (_corners(lo, hi) - pose.translation) @ pose.rotation[:, 2]
             straddling += bool(qz.min() <= 0.0 < qz.max())
         assert straddling > 1000
+
+
+def _caster_case(rng):
+    """Random rays, a random box and cylinder, and an origin, for the caster oracle.
+
+    About one ray component in six is zero, so vertical rays, rays parallel
+    to the caps and rays parallel to box faces all occur; the origin is
+    sometimes inside the solid, on a face or cap plane, or on the axis.
+    """
+    shape = (int(rng.integers(1, 9)), int(rng.integers(1, 13)))
+    rays = rng.normal(size=(3, *shape))
+    for d in rays:
+        d[rng.random(shape) < 0.17] = rng.choice([0.0, -0.0])
+    center = rng.uniform(-1.0, 1.0, size=2)
+    half = rng.uniform(0.05, 1.0, size=2)
+    z1 = rng.uniform(-0.5, 1.0)
+    z2 = z1 + rng.uniform(0.05, 1.5)
+    lo, hi = [*(center - half), z1], [*(center + half), z2]
+    origin = rng.uniform(-2.0, 2.0, size=3)
+    case = rng.choice(["anywhere", "inside", "face", "cap", "axis"])
+    if case == "inside":
+        origin = rng.uniform(lo, hi)
+    elif case == "face":
+        axis = int(rng.integers(3))
+        origin[axis] = (lo, hi)[int(rng.integers(2))][axis]
+    elif case == "cap":
+        origin[2] = (z1, z2)[int(rng.integers(2))]
+    elif case == "axis":
+        origin[:2] = center
+    return rays, origin.tolist(), lo, hi, center, float(half.min()), z1, z2
+
+
+class TestCastersMatchTheParentCode:
+    """The casters lower a buffer to the bits of the old casters (``tests/parent_casters.py``)."""
+
+    def test_same_bits_fresh_and_in_place(self):
+        rng = np.random.default_rng(20261020)
+        hits = {"box": 0, "cylinder": 0, "vertical": 0, "level": 0}
+        for trial in range(4000):
+            (dx, dy, dz), origin, lo, hi, center, r, z1, z2 = _caster_case(rng)
+            for kind, new, old in (
+                ("box", lambda best: _raycast_box(origin, dx, dy, dz, lo, hi, best),
+                 lambda: parent_casters._raycast_box(origin, dx, dy, dz, lo, hi)),
+                ("cylinder", lambda best: _raycast_cylinder(origin, dx, dy, dz, center, r, z1, z2, best),
+                 lambda: parent_casters._raycast_cylinder(origin, dx, dy, dz, center, r, z1, z2)),
+            ):
+                want = old()
+                assert new(np.full(dx.shape, np.inf)).tobytes() == want.tobytes(), f"trial {trial}: {kind}"
+                # on a strided window of a larger buffer, as render_depth passes it
+                buffer = rng.choice([np.inf, 0.5, 2.0, 7.0], size=(dx.shape[0] + 2, dx.shape[1] + 3))
+                window = buffer[1:-1, 2:-1]
+                expect = np.minimum(window, want)
+                assert new(window) is window
+                assert window.tobytes() == expect.tobytes(), f"trial {trial}: {kind} in place"
+                found = np.isfinite(want)
+                hits[kind] += int(found.sum())
+                hits["vertical"] += int(found[(dx == 0) & (dy == 0)].sum())
+                hits["level"] += int(found[dz == 0].sum())
+        assert min(hits.values()) > 50, hits
+
+
+def _random_view(rng):
+    """A random (scene, camera pose, intrinsics) of zero to four obstacles around the camera.
+
+    Obstacles go behind the camera, across its plane, beside the frustum, in
+    view or anywhere, as in the culling test, so frames with no return, with
+    one window and with several all occur.
+    """
+    intr = CameraIntrinsics.from_fov(width=int(rng.integers(16, 65)), height=int(rng.integers(12, 49)),
+                                     hfov_deg=rng.uniform(40.0, 100.0), max_range=5.0)
+    yaw = rng.uniform(-np.pi, np.pi)
+    cam = np.array([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(0.2, 1.5)])
+    pose = camera_pose(cam, yaw=yaw, pitch=rng.uniform(-0.4, 0.4))
+    fwd, left = np.array([np.cos(yaw), np.sin(yaw)]), np.array([-np.sin(yaw), np.cos(yaw)])
+    obstacles = []
+    for k in range(int(rng.integers(0, 5))):
+        f, lat = [(-rng.uniform(1.0, 3.0), rng.uniform(-1.0, 1.0)),  # behind the camera
+                  (rng.uniform(-0.1, 0.1), rng.uniform(-1.5, 1.5)),  # across its plane
+                  (rng.uniform(1.0, 2.0), rng.choice([-1.0, 1.0]) * rng.uniform(3.0, 4.0)),  # beside
+                  (rng.uniform(0.5, 4.0), rng.uniform(-1.0, 1.0)),  # in view
+                  tuple(rng.uniform(-4.0, 4.0, size=2))][int(rng.integers(5))]
+        cx, cy = cam[:2] + f * fwd + lat * left
+        z0 = rng.uniform(-0.2, 1.5)
+        z1 = z0 + rng.uniform(0.1, 1.2)
+        if rng.uniform() < 0.5:
+            obstacles.append(box(f"b{k}", cx, cy, rng.uniform(0.05, 0.5), rng.uniform(0.05, 0.5), z0, z1))
+        else:
+            obstacles.append(cyl(f"c{k}", cx, cy, rng.uniform(0.05, 0.5), z0, z1))
+    return scene_of(*obstacles), pose, intr
+
+
+class TestReturnBox:
+    """A rendered image's return box holds every return, and readers of the box see the whole image."""
+
+    def test_a_box_less_image_has_the_whole_image_as_its_box(self):
+        img = DepthImage(INTR, np.full((INTR.height, INTR.width), np.nan), FrameId.OPTICAL_DOG)
+        assert img.box == (0, INTR.height, 0, INTR.width)
+
+    @pytest.mark.parametrize("bad", [(2, 1, 0, 4), (0, 4, 5, 4), (-1, 4, 0, 4), (0, 49, 0, 4),
+                                     (0, 4, 0, 65), (0, 4, 0)])
+    def test_a_box_outside_the_image_is_refused(self, bad):
+        with pytest.raises(ValueError):
+            DepthImage(INTR, np.zeros((INTR.height, INTR.width)), FrameId.OPTICAL_DOG, bad)
+
+    def test_a_box_takes_integers_only(self):
+        depth = np.zeros((INTR.height, INTR.width))
+        with pytest.raises(TypeError):
+            DepthImage(INTR, depth, FrameId.OPTICAL_DOG, (0.0, 4, 0, 4))
+        img = DepthImage(INTR, depth, FrameId.OPTICAL_DOG, tuple(np.array([1, 4, 0, 0])))
+        assert img.box == (1, 4, 0, 0) and all(type(v) is int for v in img.box)
+
+    def test_readers_of_the_box_match_the_whole_image_on_random_scenes(self):
+        rng = np.random.default_rng(20261021)
+        kinds = set()
+        for trial in range(400):
+            scene, pose, intr = _random_view(rng)
+            img = render_depth(scene, pose, intr)
+            noisy = trial % 3 == 0
+            if noisy:
+                img = apply_depth_noise(img, 0.05, rng)
+            top, bottom, left, right = img.box
+            outside = np.isfinite(img.depth)
+            outside[top:bottom, left:right] = False
+            assert not outside.any(), f"trial {trial}: a return outside {img.box}"
+            plain = DepthImage(img.intrinsics, img.depth, img.frame)  # the whole image as its box
+            got, want = deproject(img), deproject(plain)
+            assert got.frame is want.frame
+            assert got.points.tobytes() == want.points.tobytes(), f"trial {trial}"
+            rois = [default_roi(intr)]
+            for _ in range(4):
+                v0, u0 = int(rng.integers(intr.height)), int(rng.integers(intr.width))
+                rois.append(RoiSpec(u0, int(rng.integers(u0 + 1, intr.width + 1)),
+                                    v0, int(rng.integers(v0 + 1, intr.height + 1))))
+            for roi in rois:
+                d, d_plain = roi_min_depth(img, roi), roi_min_depth(plain, roi)
+                assert (d is None) == (d_plain is None) and (d is None or d.hex() == d_plain.hex())
+            empty = top == bottom
+            kinds.add(("noisy" if noisy else "clean", "empty" if empty else
+                       "whole" if img.box == plain.box else "part"))
+            if not empty:
+                assert len(got) > 0 or np.isnan(img.depth).all()
+        assert kinds == {(n, b) for n in ("noisy", "clean") for b in ("empty", "part", "whole")}
 
 
 class TestRaysAreBuiltOnlyWhenCast:
