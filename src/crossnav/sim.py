@@ -382,8 +382,8 @@ def _chest_mount(rig: SensorRig, bend: BendPose, chest_height_m: float) -> Rigid
     )
 
 
-def _world_pose(x: float, y: float, heading: float, mount: RigidTransform) -> RigidTransform:
-    """compose(RigidTransform(rot_z(heading), (x, y, 0)), mount) on Python floats.
+def _world_pose(pose, mount: RigidTransform) -> RigidTransform:
+    """compose(RigidTransform(rot_z(heading), (x, y, 0)), mount) for pose (x, y, heading), on floats.
 
     One checked transform and no matrix product, so no BLAS kernel choice
     reaches the pose. Each rotation entry is accumulated as
@@ -395,6 +395,7 @@ def _world_pose(x: float, y: float, heading: float, mount: RigidTransform) -> Ri
     ``compose``'s bits too; with one, a kernel that fuses the multiply-adds of
     ``compose``'s matrix-vector product may round its last bit differently.
     """
+    x, y, heading = map(float, pose)
     c, s = float(np.cos(heading)), float(np.sin(heading))
     a = ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0))
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = mount.rotation.tolist()
@@ -413,16 +414,14 @@ def _world_pose(x: float, y: float, heading: float, mount: RigidTransform) -> Ri
 
 def robot_camera_pose(robot_pose: np.ndarray, rig: SensorRig) -> RigidTransform:
     """World pose of the robot's forward depth camera (optical frame)."""
-    x, y, th = map(float, robot_pose)
-    return _world_pose(x, y, th, _robot_mount(rig))
+    return _world_pose(robot_pose, _robot_mount(rig))
 
 
 def chest_camera_pose(
     human_pose: np.ndarray, bend: BendPose, rig: SensorRig, chest_height_m: float
 ) -> RigidTransform:
     """World pose of the chest-mounted depth camera; bending pitches it down."""
-    x, y, heading = map(float, human_pose)
-    return _world_pose(x, y, heading, _chest_mount(rig, bend, chest_height_m))
+    return _world_pose(human_pose, _chest_mount(rig, bend, chest_height_m))
 
 
 def robot_branch_observation(
