@@ -491,7 +491,7 @@ class TestMounts:
             assert transforms_built[0] == 1
 
 
-class TestCameraPoses:
+class TestCameraPosesOnFloats:
     """The world camera poses, built on floats, have the bits of the composition they replaced."""
 
     HEADINGS = (0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi)
