@@ -388,9 +388,9 @@ def _world_pose(pose, mount: RigidTransform) -> RigidTransform:
     One checked transform and no matrix product, so no BLAS kernel choice
     reaches the pose. Each rotation entry is accumulated as
     ((0.0 + a_i0 b_0j) + a_i1 b_1j) + a_i2 b_2j, the order in which
-    ``compose``'s 3x3 product rounds (``tests/test_sim.py::TestCameraPoses``
-    holds it to those bits), and the translation rot_z(heading) @ t + (x, y, 0)
-    in the same order. The cosine and sine are numpy's, as in ``rot_z``. With
+    ``compose``'s 3x3 product rounds under OpenBLAS's Nehalem and Haswell
+    kernels (``tests/test_sim.py::TestCameraPosesOnFloats`` holds it to those
+    bits), and the translation rot_z(heading) @ t + (x, y, 0) in the same order. The cosine and sine are numpy's, as in ``rot_z``. With
     no lateral mount offset, as on every shipped rig, the translation has
     ``compose``'s bits too; with one, a kernel that fuses the multiply-adds of
     ``compose``'s matrix-vector product may round its last bit differently.

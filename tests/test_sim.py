@@ -3,8 +3,11 @@
 import csv
 import dataclasses
 import math
+import os
 import random
 import struct
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -57,6 +60,7 @@ from crossnav.sim import (
 from crossnav.world import Obstacle, ObstacleKind, ObstacleShape, Scene
 
 import parent_physics
+from test_golden import _openblas_picks_kernels_and_cpu_has_avx2
 
 
 def box(center, half, z=(0.0, 0.5), kind=ObstacleKind.GROUND, oid="b"):
@@ -491,8 +495,26 @@ class TestMounts:
             assert transforms_built[0] == 1
 
 
+#: prints how many camera poses built on floats differ in bits from the
+#: composition, then the sha256 of 2,000 random 3x3 products, which shows
+#: which BLAS kernel ran
+_KERNEL_POSES = """
+import hashlib
+import numpy as np
+from test_sim import TestCameraPosesOnFloats
+print(sum(got != want for got, want in TestCameraPosesOnFloats.bit_pairs()))
+a, b = np.random.default_rng(0).normal(size=(2, 2000, 3, 3))
+print(hashlib.sha256(b"".join((x @ y).tobytes() for x, y in zip(a, b))).hexdigest())
+"""
+
+
 class TestCameraPosesOnFloats:
-    """The world camera poses, built on floats, have the bits of the composition they replaced."""
+    """The world camera poses, built on floats, agree with the composition they replaced.
+
+    ``compose`` takes a BLAS 3x3 product, whose bits may follow the kernel, so
+    the bitwise check runs under each kernel it was checked on and the
+    tolerance check on every host.
+    """
 
     HEADINGS = (0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi)
 
@@ -502,14 +524,17 @@ class TestCameraPosesOnFloats:
         platform = RigidTransform(rot_z(th), np.array([x, y, 0.0]), mount.to_frame, FrameId.WORLD)
         return compose(platform, mount)
 
-    def poses(self, rng):
+    @classmethod
+    def poses(cls, rng):
         out = [(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0), rng.uniform(-7.0, 7.0))
                for _ in range(150)]
-        for th in self.HEADINGS:
+        for th in cls.HEADINGS:
             out += [(0.0, -0.0, th), (-0.0, 0.0, th), tuple(rng.uniform(-5.0, 5.0, size=2)) + (th,)]
         return out
 
-    def test_matches_the_composition_bitwise(self):
+    @classmethod
+    def pairs(cls):
+        """(float pose, composed pose, lateral offset) for every robot and chest camera case."""
         rng = np.random.default_rng(20261022)
         rigs = [default_rig()] + [
             dataclasses.replace(
@@ -522,25 +547,50 @@ class TestCameraPosesOnFloats:
             for _ in range(6)
         ]
         for rig in rigs:
-            for pose in self.poses(rng):
-                want = self.composed(pose, _robot_mount(rig))
-                assert pose_bytes(robot_camera_pose(np.array(pose), rig)) == pose_bytes(want), pose
+            for pose in cls.poses(rng):
+                yield robot_camera_pose(np.array(pose), rig), cls.composed(pose, _robot_mount(rig)), False
                 for bend in BendPose:
                     for height in (1.1, 1.3):
-                        want = self.composed(pose, _chest_mount(rig, bend, height))
                         got = chest_camera_pose(np.array(pose), bend, rig, height)
-                        assert pose_bytes(got) == pose_bytes(want), (pose, bend)
-
-    def test_a_lateral_mount_offset_agrees_to_rounding(self):
-        # a BLAS kernel may fuse the product's multiply-adds, so only the
-        # rotation is held to the bit here
+                        yield got, cls.composed(pose, _chest_mount(rig, bend, height)), False
         rng = np.random.default_rng(20261023)
         rig = dataclasses.replace(default_rig(), robot_mount_xyz=(0.2, 0.13, 0.4), robot_mount_pitch_rad=0.3)
-        for pose in self.poses(rng):
-            got, want = robot_camera_pose(np.array(pose), rig), self.composed(pose, _robot_mount(rig))
-            assert got.rotation.tobytes() == want.rotation.tobytes()
-            np.testing.assert_allclose(got.translation, want.translation, rtol=0.0, atol=1e-14)
+        for pose in cls.poses(rng):
+            yield robot_camera_pose(np.array(pose), rig), cls.composed(pose, _robot_mount(rig)), True
+
+    @classmethod
+    def bit_pairs(cls):
+        """The bytes each float pose must share with its composition.
+
+        All of them with no lateral mount offset; with one, only the rotation,
+        since a kernel may fuse the multiply-adds of the translation's product.
+        """
+        for got, want, lateral in cls.pairs():
+            if lateral:
+                yield got.rotation.tobytes(), want.rotation.tobytes()
+            else:
+                yield pose_bytes(got), pose_bytes(want)
+
+    def test_agrees_with_the_composition_to_rounding(self):
+        for got, want, _ in self.pairs():
             assert (got.from_frame, got.to_frame) == (want.from_frame, want.to_frame)
+            np.testing.assert_allclose(got.rotation, want.rotation, rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(got.translation, want.translation, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.skipif(not _openblas_picks_kernels_and_cpu_has_avx2(),
+                        reason="needs numpy on OpenBLAS DYNAMIC_ARCH and an x86-64 CPU with avx2")
+    def test_matches_the_composition_bitwise_under_each_blas_kernel(self):
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), str(Path(__file__).resolve().parent)]
+        products = set()
+        for kernel in ("Nehalem", "Haswell"):
+            env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1",
+                       PYTHONPATH=os.pathsep.join(filter(None, paths + [os.environ.get("PYTHONPATH")])))
+            run = subprocess.run([sys.executable, "-c", _KERNEL_POSES], env=env,
+                                 capture_output=True, text=True, check=True)
+            mismatches, product = run.stdout.split()
+            assert mismatches == "0", kernel
+            products.add(product)
+        assert len(products) == 2  # the two kernels really ran: their products differ in bits
 
 
 class TestRobotBranchObservation:

@@ -12,10 +12,8 @@ trace_digests = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(trace_digests)
 
 
-def test_one_seed_of_one_scenario_lists_the_golden_digests(capsys):
-    trace_digests.main(["--seeds", "1", "--scenarios", "hanging_lamp"])
-    lines = capsys.readouterr().out.splitlines()
-    *files, whole = lines
+def test_one_seed_of_one_scenario_lists_the_golden_digests():
+    *files, whole = trace_digests.digest_lines(["hanging_lamp"], range(1))
     listed = dict(line.split("  ")[::-1] for line in files)
     # single-view and cross-view, each a trace and an announcements file
     golden = read_golden()
