@@ -37,6 +37,7 @@ from .sim import (
     SensorRig,
     SimParams,
     TerminationStatus,
+    check_seed,
     default_rig,
     run_episode,
 )
@@ -313,6 +314,11 @@ def build_config(raw: dict, default_name: str = "scenario") -> EpisodeConfig:
     return config
 
 
+# libyaml's parser where PyYAML was built with it: the same safe constructors
+# and resolvers as yaml.safe_load, so the same mappings, about 8x faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_scenario(name_or_path) -> EpisodeConfig:
     """Load and fully validate a scenario file.
 
@@ -321,7 +327,7 @@ def load_scenario(name_or_path) -> EpisodeConfig:
     """
     path = find_scenario(name_or_path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if raw is None:
@@ -372,6 +378,8 @@ class SweepSpec:
             raise ValueError("sweep needs at least one condition")
         if not self.seeds:
             raise ValueError("sweep needs at least one seed")
+        for seed in self.seeds:
+            check_seed(seed)
         for kind, values in (("condition", self.conditions), ("seed", self.seeds)):
             for i, v in enumerate(values):
                 if v in values[:i]:  # the same episode would run twice over one trace

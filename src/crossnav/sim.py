@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -61,9 +62,14 @@ from .world import (
 )
 
 TRACE_HEADER = "t,robot_x,robot_y,robot_theta,human_x,human_y,source,A,v_x,v_y,w_z,min_roi_depth,event"
-# one trace row, in TRACE_HEADER's columns; ``%.6f`` of a float gives the
-# bytes of the f-string ``{x:.6f}`` on the same value, float64 or float
-_ROW = "%.3f,%.6f,%.6f,%.6f,%.6f,%.6f,%s,%s,%.6f,%.6f,%.6f,%s,%s"
+# one trace row, in TRACE_HEADER's columns: t and the two poses, then the
+# command columns already formatted by _COMMAND_COLUMNS, then the events;
+# ``%.6f`` of a float gives the bytes of the f-string ``{x:.6f}`` on the same
+# value, float64 or float
+_ROW = "%.3f,%.6f,%.6f,%.6f,%.6f,%.6f,%s%s"
+# source, A, v_x, v_y, w_z, min_roi_depth and the comma before the events;
+# they change only when a task changes the command or the ROI depth
+_COMMAND_COLUMNS = "%s,%s,%.6f,%.6f,%.6f,%s,"
 
 
 class ConfigError(Exception):
@@ -260,8 +266,29 @@ def _wrap_angle(a: float) -> float:
 
 # The physics tick runs on Python floats read once from each pose. Float
 # arithmetic rounds exactly as float64 numpy does, so each expression below
-# keeps the operands and the order of the array code it replaced, and every
-# np.hypot stays np.hypot: math.hypot rounds differently.
+# keeps the operands and the order of the array code it replaced. A distance
+# that enters a pose stays np.hypot, since math.hypot rounds differently; a
+# distance that is only compared with a bound goes through _hypot_vs, which
+# gives np.hypot's answer to that comparison.
+
+
+def _hypot_vs(dx: float, dy: float, bound: float) -> float:
+    """np.hypot(dx, dy) as seen by a comparison with ``bound``.
+
+    Outside a relative band of about 5e-10 around ``bound``, the squared
+    distance settles the comparison: its rounding error is near 1e-16, so
+    math.sqrt of it lies on np.hypot's side of ``bound``, strictly, and is
+    returned. np.hypot itself is returned inside the band, for a NaN (which
+    fails both tests), and for a ``bound`` outside (1e-150, 1e150), whose
+    square may overflow or be subnormal, where rounding is no longer
+    relative. So ``<``, ``<=``, ``>``, ``>=`` and ``==`` against ``bound``
+    answer as on np.hypot, and np.hypot is rarely called.
+    """
+    if 1e-150 < bound < 1e150:
+        d2, b2 = dx * dx + dy * dy, bound * bound
+        if d2 < b2 * (1.0 - 1e-9) or d2 > b2 * (1.0 + 1e-9):
+            return math.sqrt(d2)
+    return float(np.hypot(dx, dy))
 
 
 def _integrate_unicycle(
@@ -290,7 +317,7 @@ def human_follower(state: WorldState, params: FollowerParams, dt: float) -> Tupl
     speed = min(params.gain_hz * advance, params.speed_cap_mps)
     nx, ny = hx + speed * dx * dt, hy + speed * dy * dt
     tx, ty = rx - nx, ry - ny
-    heading = math.atan2(ty, tx) if float(np.hypot(tx, ty)) > 1e-9 else hh
+    heading = math.atan2(ty, tx) if _hypot_vs(tx, ty, 1e-9) > 1e-9 else hh
     return nx, ny, heading
 
 
@@ -298,7 +325,7 @@ def _clamp_to_corridor(x: float, y: float, scene: Scene, margin: float) -> Tuple
     # bound first: on a tie the wall's own value wins, signed zero included,
     # as in numpy's float64 minimum/maximum on x86; a NaN passes through as
     # it does there, where min/max would put it on the low wall
-    (lo_x, lo_y), (hi_x, hi_y) = scene.corridor_min.tolist(), scene.corridor_max.tolist()
+    lo_x, lo_y, hi_x, hi_y = scene.corridor_bounds
     if x == x:
         x = min(hi_x - margin, max(lo_x + margin, x))
     if y == y:
@@ -781,9 +808,9 @@ class _Episode:
         human_xy = start[:2] - self.scene.leash_length_m * np.array(
             [math.cos(heading), math.sin(heading)]
         )
-        init_source = (
-            CommandSource.WALKER if condition is Condition.UNASSISTED else CommandSource.APF
-        )
+        # the unassisted walker moves the person and leaves the robot parked
+        self.drive_human = condition is Condition.UNASSISTED
+        init_source = CommandSource.WALKER if self.drive_human else CommandSource.APF
         self.executed = VelocityCommand.zero(0.0, init_source)
         self.state = WorldState(
             time=0.0,
@@ -816,6 +843,7 @@ class _Episode:
         self.cloud_memory: List[Tuple[float, np.ndarray]] = []  # (expiry, world xy)
         self.decision: Optional[ArbitrationDecision] = None
         self.roi_depth: Optional[float] = None
+        self._command_changed()
         self.last_fire: Optional[float] = None
         self.announcements: List[HazardEvent] = []
         self.rows: List[str] = []
@@ -895,6 +923,7 @@ class _Episode:
         self.apf_cmd = admittance_map(force, cfg.apf, self.apf_cmd, now)
 
         self.roi_depth = roi_min_depth(img, self.roi)
+        self._command_changed()
         if cfg.sentinel_enabled:
             trig = check_trigger(self.roi_depth, now, cfg.sentinel, self.last_fire)
             if trig is not None:
@@ -926,6 +955,7 @@ class _Episode:
         decision = arbiter_tick(self.apf_cmd, self.human_cmd, now, self.config.arbiter)
         self.decision = decision
         self.executed = _exec_round(decision.selected, self.config.sim.exec_min_command)
+        self._command_changed()
 
     def _walker_tick(self, now: float) -> None:
         self.executed = unassisted_walker(
@@ -937,18 +967,13 @@ class _Episode:
             self.tracker.in_contact("human"),
             now,
         )
+        self._command_changed()
 
     def _physics_tick(self, now: float) -> None:
         sim = self.config.sim
-        self.state = step(
-            self.state,
-            self.executed,
-            sim.dt,
-            self.scene,
-            self.follower,
-            drive_human=self.condition is Condition.UNASSISTED,
-        )
-        self.state.human_bend = self._bend_at(self.state.time)
+        self.state = step(self.state, self.executed, sim.dt, self.scene, self.follower, self.drive_human)
+        if self.config.bend_window_s is not None:
+            self.state.human_bend = self._bend_at(self.state.time)
 
         events: List[str] = []
         for ev in detect_collisions(self.state, self.scene, self.tracker):
@@ -958,10 +983,9 @@ class _Episode:
             else:
                 events.append(f"robot_contact:{ev.obstacle_id}")
 
-        pose = self.state.human_pose if self.condition is Condition.UNASSISTED else self.state.robot_pose
-        x, y = pose[:2].tolist()
-        dist_goal = float(np.hypot(self.goal_x - x, self.goal_y - y))
-        if dist_goal <= sim.goal_tolerance_m:
+        x, y, _ = (self.state.human_pose if self.drive_human else self.state.robot_pose).tolist()
+        tolerance = sim.goal_tolerance_m
+        if _hypot_vs(self.goal_x - x, self.goal_y - y, tolerance) <= tolerance:
             self.status = TerminationStatus.GOAL
         elif self._stalled(now):
             self.status = TerminationStatus.STALLED
@@ -976,8 +1000,7 @@ class _Episode:
         sim = self.config.sim
         if self.state.time <= sim.stall_grace_s:
             return False
-        norm = command_norm(self.executed, self.config.arbiter.char_length)
-        if norm >= sim.stall_norm:
+        if self.executed_norm >= sim.stall_norm:
             self.stall_since = None
             return False
         if self.stall_since is None:
@@ -993,17 +1016,23 @@ class _Episode:
 
     # -- output ---------------------------------------------------------------
 
-    def _format_row(self, events: Sequence[str]) -> str:
-        st = self.state
+    def _command_changed(self) -> None:
+        """Format the command columns and the norm of ``executed`` once per change.
+
+        Every write to ``executed``, ``decision`` or ``roi_depth`` is followed
+        by this call, so the physics ticks in between reuse both.
+        """
         cmd = self.executed
-        rx, ry, rth = st.robot_pose.tolist()
-        hx, hy, _ = st.human_pose.tolist()
         a = self.decision.a if self.decision is not None else 0
         depth = "" if self.roi_depth is None else "%.3f" % self.roi_depth
-        return _ROW % (
-            st.time, rx, ry, rth, hx, hy, cmd.source.value, a,
-            cmd.v_x, cmd.v_y, cmd.w_z, depth, "|".join(events),
-        )
+        self.command_columns = _COMMAND_COLUMNS % (cmd.source.value, a, cmd.v_x, cmd.v_y, cmd.w_z, depth)
+        self.executed_norm = command_norm(cmd, self.config.arbiter.char_length)
+
+    def _format_row(self, events: Sequence[str]) -> str:
+        st = self.state
+        rx, ry, rth = st.robot_pose.tolist()
+        hx, hy, _ = st.human_pose.tolist()
+        return _ROW % (st.time, rx, ry, rth, hx, hy, self.command_columns, "|".join(events))
 
     def _finish(self) -> EpisodeReport:
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -1041,6 +1070,12 @@ def _exec_round(cmd: VelocityCommand, threshold: float) -> VelocityCommand:
     return VelocityCommand(snap(cmd.v_x), snap(cmd.v_y), snap(cmd.w_z), cmd.stamp, cmd.source)
 
 
+def check_seed(seed) -> None:
+    """Raise ConfigError naming ``seed`` unless it is a non-negative integer (a bool is not one)."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"seed {seed!r} must be a non-negative integer")
+
+
 def run_episode(
     config: EpisodeConfig,
     condition: Condition,
@@ -1052,6 +1087,8 @@ def run_episode(
     """Run one deterministic episode and write its trace.
 
     Identical (config, condition, seed) inputs produce byte-identical trace
-    files. Raises ConfigError for invalid scenarios.
+    files. Raises ConfigError for invalid scenarios and for a seed that is
+    not a non-negative integer.
     """
+    check_seed(seed)
     return _Episode(config, condition, seed, Path(out_dir), trace_name, describer).run()

@@ -10,10 +10,11 @@ bitwise that of a full-image cast. A box that straddles the camera plane is
 bounded by its in-front corners, and its window runs to an image edge only on
 a side that the box's section with the camera plane reaches. The windows are
 found on Python floats, one box at a time, without a matrix product. A render
-fills the image with NaN once and allocates its hit buffer only over the union
-box of the cast windows, so its cost follows the cast pixels, not the image.
-The image carries that union box as its return box (``DepthImage.box``), empty
-when nothing was cast, and ``deproject`` scans only the box.
+allocates its hit buffer only over the union box of the cast windows, so its
+cost follows the cast pixels, not the image. The image carries that union box
+as its return box (``DepthImage.box``), and ``deproject`` scans only the box.
+A frame that casts nothing has the empty box and shares one read-only all-NaN
+depth array with every such frame of its camera.
 """
 
 from __future__ import annotations
@@ -117,6 +118,11 @@ class Scene:
             v = np.asarray(getattr(self, name), dtype=np.float64)
             object.__setattr__(self, name, v)
 
+    @functools.cached_property
+    def corridor_bounds(self) -> Tuple[float, float, float, float]:
+        """(min x, min y, max x, max y) of the corridor as Python floats, read once per scene."""
+        return (*self.corridor_min.tolist(), *self.corridor_max.tolist())
+
     def validate(self, robot_clearance_m: float) -> None:
         """Enforce scene invariants; raises ValueError naming the offender."""
         for name in ("body_radius_m", "head_height_m", "chest_height_m"):
@@ -192,6 +198,8 @@ class DepthImage:
     an empty box: the image has no return. None, the default, means the whole
     image and is stored as such, so images built without a box still work.
     The box is checked against the image size, not against the depths.
+    ``depth`` may be read-only: ``render_depth`` shares one array among its
+    frames with no return. Copy it before writing to it.
     """
 
     intrinsics: CameraIntrinsics
@@ -228,6 +236,14 @@ def _ray_axes(intr: CameraIntrinsics):
     y = (np.arange(intr.height, dtype=np.float64) - intr.cy) / intr.fy
     x.flags.writeable = y.flags.writeable = False
     return x, y
+
+
+@functools.lru_cache(maxsize=8)
+def _no_returns(intr: CameraIntrinsics) -> np.ndarray:
+    """The all-NaN depth of a frame that casts nothing, read-only and shared by every such frame."""
+    depth = np.full((intr.height, intr.width), np.nan)
+    depth.flags.writeable = False
+    return depth
 
 
 def _raycast_box(origin, dx, dy, dz, lo, hi, best) -> np.ndarray:
@@ -411,17 +427,17 @@ def render_depth(
     any window, and the per-pixel minimum is order-free, so the image is
     bitwise that of casting every pixel against every obstacle.
 
-    The image starts as one NaN fill. Rays, the hit buffer and the range
-    select cover only the union box of the cast windows, so a frame that
-    casts nothing costs that fill alone. That union box is the image's
-    return box; a frame that casts nothing gets the empty box (0, 0, 0, 0).
+    Rays, the hit buffer and the range select cover only the union box of
+    the cast windows, which is the image's return box. A frame that casts
+    nothing gets the empty box (0, 0, 0, 0) and a shared read-only all-NaN
+    depth (``_no_returns``), so it allocates nothing; other frames get a fresh
+    NaN-filled depth of their own.
 
     ``camera_pose_world`` must map an optical frame into the world frame.
     Pixels with no hit inside (0, max_range] are NaN. Pure and deterministic.
     """
     if camera_pose_world.to_frame != FrameId.WORLD:
         raise ValueError("camera pose must map into the world frame")
-    depth = np.full((intr.height, intr.width), np.nan)
     origin = camera_pose_world.translation.tolist()
     r = camera_pose_world.rotation.tolist()
 
@@ -447,7 +463,7 @@ def render_depth(
         if window is not None:
             cast.append((ob, lo, hi, window))
     if not cast:
-        return DepthImage(intr, depth, camera_pose_world.from_frame, (0, 0, 0, 0))
+        return DepthImage(intr, _no_returns(intr), camera_pose_world.from_frame, (0, 0, 0, 0))
 
     # the union box of the windows holds every cast pixel
     top = min(w[0].start for *_, w in cast)
@@ -466,6 +482,7 @@ def render_depth(
         else:
             _raycast_cylinder(origin, dx, dy, dz, ob.center, ob.radius, ob.z_min, ob.z_max, best)
 
+    depth = np.full((intr.height, intr.width), np.nan)
     np.copyto(depth[top:bottom, left:right], t_best, where=(t_best > 0) & (t_best <= intr.max_range))
     return DepthImage(intr, depth, camera_pose_world.from_frame, (top, bottom, left, right))
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from crossnav import cli
+from crossnav import cli, harness
 from crossnav.harness import (
     ConditionSummary,
     ParseError,
@@ -122,6 +122,27 @@ class TestLoadScenario:
         p.write_text("scene: [unclosed\n")
         with pytest.raises(ParseError):
             load_scenario(p)
+
+    def test_broken_yaml_is_a_parse_error_under_the_python_parser_too(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_YAML_LOADER", yaml.SafeLoader)
+        p = tmp_path / "broken.yaml"
+        p.write_text("scene: [unclosed\n")
+        with pytest.raises(ParseError):
+            load_scenario(p)
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+    def test_libyaml_parses_every_yaml_file_as_the_python_parser_does(self, monkeypatch):
+        assert harness._YAML_LOADER is yaml.CSafeLoader
+        files = sorted(find_scenario("canonical").parent.glob("*.yaml")) + sorted(DATA.glob("*.yaml"))
+        assert len(files) == 5
+        for path in files:
+            text = path.read_text()
+            assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader), path
+        for name in ("canonical", "canonical_bend", "hanging_lamp", MINI):
+            fast = effective_config_text(load_scenario(name))
+            monkeypatch.setattr(harness, "_YAML_LOADER", yaml.SafeLoader)
+            assert effective_config_text(load_scenario(name)) == fast
+            monkeypatch.undo()
 
 
 class TestSchema:
@@ -584,6 +605,19 @@ class TestSweep:
         with pytest.raises(ValueError, match="seed 3 more than once"):
             SweepSpec(str(MINI), (Condition.UNASSISTED,), (3, 1, 3), "out")
         SweepSpec(str(MINI), (Condition.UNASSISTED, Condition.SINGLE_VIEW), (1, 3), "out")
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "3"])
+    def test_spec_refuses_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError, match=f"seed {seed!r} must be a non-negative integer"):
+            SweepSpec(str(MINI), (Condition.UNASSISTED,), (0, seed), "out")
+        SweepSpec(str(MINI), (Condition.UNASSISTED,), (0, np.int64(4)), "out")
+
+    @pytest.mark.parametrize("argv", [["run", "--seed", "-1"], ["sweep", "--seeds=-2..-1"]])
+    def test_cli_refuses_a_negative_seed_naming_it(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--scenario", str(MINI), "--out", str(out)]) == 2
+        assert "seed -" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cli_refuses_a_repeated_condition_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "sweep"

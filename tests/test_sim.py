@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from crossnav import sim
-from crossnav.arbiter import ArbiterConfig, ArbitrationDecision
+from crossnav.arbiter import ArbiterConfig, ArbitrationDecision, command_norm
 from crossnav.geometry import FrameId, RigidTransform, compose, rot_z
 from crossnav.human_branch import HumanSafetyParams, detect_hazard
 from crossnav.perception import nonfree_centers
@@ -1090,7 +1090,7 @@ LAMP_MINI = scene_of([cyl((2.0, 0.0), 0.25, (1.6, 1.8), oid="lamp")], goal=(4.0,
 
 
 class TestFormatRow:
-    """The ``%`` template of ``_format_row`` writes the bytes of the f-string it replaced."""
+    """A row built from ``_command_changed``'s columns and ``_format_row`` has the bytes of the f-string it replaced."""
 
     @staticmethod
     def f_string_row(st, cmd, decision, roi_depth, events):
@@ -1105,14 +1105,24 @@ class TestFormatRow:
 
     @staticmethod
     def edge_values():
-        """np.float64 values on and one ulp either side of the rounding edges of %.6f and %.3f."""
+        """np.float64 values on and one ulp either side of the rounding edges of %.6f and %.3f, and NaN and inf."""
         edges = [0.0, 5e-7, 2.5e-7, 1.5e-6, 0.0005, 1.0005, 2.0000005, 12.3456785, 72.86000000000264]
         edges += [(k + 0.5) * 1e-6 for k in range(-4, 4)] + [1e6 + 5e-7, math.pi]
         out = []
         for e in edges:
             for v in (e, np.nextafter(e, math.inf), np.nextafter(e, -math.inf)):
                 out += [np.float64(v), np.float64(-v)]
-        return out
+        return out + [np.float64(math.nan), np.float64(math.inf), np.float64(-math.inf)]
+
+    @staticmethod
+    def row(state, executed, decision, roi_depth, events):
+        """The row of an episode holding these values, its command columns formatted first."""
+        episode = types.SimpleNamespace(
+            state=state, executed=executed, decision=decision, roi_depth=roi_depth,
+            config=types.SimpleNamespace(arbiter=ArbiterConfig()),
+        )
+        _Episode._command_changed(episode)
+        return _Episode._format_row(episode, events)
 
     def test_rows_match_the_f_string_bytewise(self):
         values = self.edge_values()
@@ -1137,17 +1147,92 @@ class TestFormatRow:
             decision = None if i % 3 == 0 else ArbitrationDecision(i % 2, executed)
             roi_depth = (None, pick(), float(pick()), np.float64(math.inf))[i % 4]
             events = events_cases[i % 3]
-            episode = types.SimpleNamespace(state=state, executed=executed, decision=decision, roi_depth=roi_depth)
-            got = _Episode._format_row(episode, events)
+            got = self.row(state, executed, decision, roi_depth, events)
             assert got == self.f_string_row(state, executed, decision, roi_depth, events), i
-        negative_zero = _Episode._format_row(
-            types.SimpleNamespace(
-                state=world_state(robot=(-0.0, -1e-9, 0.0), human=(-0.0, 0.0, 0.0)),
-                executed=cmd(-0.0), decision=None, roi_depth=None,
-            ),
-            [],
+        negative_zero = self.row(
+            world_state(robot=(-0.0, -1e-9, 0.0), human=(-0.0, 0.0, 0.0)), cmd(-0.0), None, None, []
         )
         assert negative_zero == "0.000,-0.000000,-0.000000,0.000000,-0.000000,0.000000,apf,0,-0.000000,0.000000,0.000000,,"
+
+    @pytest.mark.parametrize("condition", [Condition.UNASSISTED, Condition.CROSS_VIEW])
+    def test_every_row_of_an_episode_shows_the_command_of_its_tick(self, tmp_path, monkeypatch, condition):
+        """The command columns are formatted when a task changes them, yet each row is the f-string of its tick."""
+        format_row = _Episode._format_row
+        rows = []
+
+        def checked(episode, events):
+            row = format_row(episode, events)
+            assert row == self.f_string_row(
+                episode.state, episode.executed, episode.decision, episode.roi_depth, events
+            ), len(rows)
+            assert episode.executed_norm == command_norm(episode.executed, episode.config.arbiter.char_length)
+            rows.append(row)
+            return row
+
+        monkeypatch.setattr(_Episode, "_format_row", checked)
+        lamp_and_bin = scene_of([*LAMP_MINI.obstacles, *MINI.obstacles], goal=(4.0, 0.0))
+        run_episode(config_of(lamp_and_bin, safety=HumanSafetyParams(d_safe=1.2, recovery_duration=2.0)),
+                    condition, 0, tmp_path)
+        commands = [row.split(",", 6)[6].rsplit(",", 1)[0] for row in rows]
+        changes = sum(a != b for a, b in zip(commands, commands[1:]))
+        # the command changes mid-episode, and most rows repeat their predecessor's
+        assert 10 < changes < len(rows) / 2
+        if condition is Condition.CROSS_VIEW:
+            assert {c.split(",")[0] for c in commands} == {"apf", "human"}
+            assert any(c.split(",")[-1] for c in commands)  # a ROI depth was seen
+
+
+class TestHypotVs:
+    """``_hypot_vs(dx, dy, r)`` compares with r as ``np.hypot(dx, dy)`` does."""
+
+    BOUNDS = (0.0, 1e-200, 1e-161, 1e-158, 1e-154, 1e-9, 0.05, 0.2, 3.0, 1e150, 1e155)
+
+    @staticmethod
+    def cases(r, rng):
+        """Points on the circle of radius r moved by up to 3 ulps per component, and scaled across the band's edges."""
+
+        def ulps(v, k):
+            for _ in range(abs(k)):
+                v = float(np.nextafter(v, math.copysign(math.inf, k)))
+            return v
+
+        out = []
+        for theta in [0.0, math.pi / 4, math.pi / 2, 2.0, *rng.uniform(-math.pi, math.pi, 8).tolist()]:
+            x, y = r * math.cos(theta), r * math.sin(theta)
+            out += [(ulps(x, i), ulps(y, j)) for i in range(-3, 4) for j in range(-3, 4)]
+            for f in (1 - 6e-10, 1 - 5e-10, 1 - 4e-10, 1 - 1e-12, 1 + 1e-12, 1 + 4e-10, 1 + 5e-10, 1 + 6e-10):
+                out += [(x * f, y * f), (x * f, y)]
+        return out
+
+    @staticmethod
+    def wild():
+        """Signed zeros, subnormals, tiny, huge, NaN and infinite components."""
+        values = [0.0, 5e-324, 2.2e-308, 1e-170, 1e-9, 0.1, 1.0, 1e155, 1e300, 1.7e308,
+                  math.nan, math.inf]
+        values += [-v for v in values]
+        return [(a, b) for a in values for b in values]
+
+    def test_every_comparison_agrees_with_np_hypot(self):
+        rng = np.random.default_rng(11)
+        ops = (float.__lt__, float.__le__, float.__gt__, float.__ge__, float.__eq__)
+        checked = 0
+        for r in self.BOUNDS:
+            points = self.cases(r, rng) + self.wild()
+            scale = r if r > 0 else 1.0
+            points += [tuple(p) for p in rng.normal(0.0, scale, (200, 2)).tolist()]
+            for dx, dy in points:
+                with np.errstate(over="ignore"):  # 1.7e308 components
+                    got, want = sim._hypot_vs(dx, dy, r), float(np.hypot(dx, dy))
+                for op in ops:
+                    assert op(got, r) == op(want, r), (dx, dy, r, op)
+                checked += 1
+        assert checked > 5000
+
+    def test_is_np_hypot_inside_the_band(self):
+        x, y = 0.2 * math.cos(1.0), 0.2 * math.sin(1.0)
+        assert sim._hypot_vs(x, y, 0.2) == float(np.hypot(x, y))
+        assert math.isnan(sim._hypot_vs(math.nan, 0.0, 0.2))
+        assert sim._hypot_vs(math.inf, math.nan, 0.2) == math.inf  # np.hypot's answer, not NaN
 
 
 class TestRunEpisode:
@@ -1222,6 +1307,17 @@ class TestRunEpisode:
         for ln in lines:
             stamp, text = ln.split("\t", 1)
             assert float(stamp) >= 0.0 and text
+
+    @pytest.mark.parametrize("seed", [-1, 0.0, 2.5, False, "0", None])
+    def test_a_seed_that_is_not_a_non_negative_integer_is_refused(self, tmp_path, seed):
+        with pytest.raises(ConfigError, match=f"seed {seed!r} must be a non-negative integer"):
+            run_episode(config_of(MINI), Condition.UNASSISTED, seed, out_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
+
+    def test_a_numpy_integer_seed_runs_as_the_int(self, tmp_path):
+        a = run_episode(config_of(MINI), Condition.UNASSISTED, np.int64(3), out_dir=tmp_path / "a")
+        b = run_episode(config_of(MINI), Condition.UNASSISTED, 3, out_dir=tmp_path / "b")
+        assert Path(a.trace_path).read_bytes() == Path(b.trace_path).read_bytes()
 
     def test_unassisted_has_no_announcement_channel(self, tmp_path):
         rep = run_episode(config_of(MINI), Condition.UNASSISTED, 0, out_dir=tmp_path)

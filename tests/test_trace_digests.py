@@ -15,8 +15,10 @@ _spec.loader.exec_module(trace_digests)
 def test_one_seed_of_one_scenario_lists_the_golden_digests():
     *files, whole = trace_digests.digest_lines(["hanging_lamp"], range(1))
     listed = dict(line.split("  ")[::-1] for line in files)
-    # single-view and cross-view, each a trace and an announcements file
+    # the unassisted trace, then single-view and cross-view, each a trace and
+    # an announcements file
     golden = read_golden()
-    assert len(listed) == 4 and listed == {name: golden[name] for name in listed}
+    assert "hanging_lamp_unassisted_seed0000.csv" in listed
+    assert len(listed) == 5 and listed == {name: golden[name] for name in listed}
     assert [line.split("  ")[1] for line in files] == sorted(listed)
     assert whole == hashlib.sha256("".join(line + "\n" for line in files).encode()).hexdigest() + "  ALL"

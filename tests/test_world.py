@@ -671,6 +671,24 @@ class TestReturnBox:
         assert kinds == {(n, b) for n in ("noisy", "clean") for b in ("empty", "part", "whole")}
 
 
+class TestFramesWithNoReturn:
+    def test_share_one_read_only_nan_depth_and_noise_copies_it(self, rng):
+        pose = camera_pose([0.0, 0.0, 1.0])  # looking along +x
+        empty = render_depth(scene_of(), pose, INTR)
+        behind = render_depth(scene_of(box("behind", -2.0, 0.0, 0.3, 0.3, 0.0, 2.0)), pose, INTR)
+        assert empty.box == behind.box == (0, 0, 0, 0)
+        assert empty.depth is behind.depth and np.isnan(empty.depth).all()
+        assert empty.depth.shape == (INTR.height, INTR.width)
+        with pytest.raises(ValueError, match="read-only"):
+            empty.depth[0, 0] = 1.0
+        noisy = apply_depth_noise(empty, 0.05, rng)
+        assert noisy.box == (0, 0, 0, 0) and noisy.depth is not empty.depth
+        assert noisy.depth.flags.writeable and np.isnan(noisy.depth).all()
+        # a frame with a return gets a depth of its own
+        ahead = render_depth(scene_of(box("ahead", 2.0, 0.0, 0.3, 0.3, 0.0, 2.0)), pose, INTR)
+        assert ahead.depth.flags.writeable and np.isfinite(ahead.depth).any()
+
+
 class TestRaysAreBuiltOnlyWhenCast:
     def test_a_scene_with_nothing_in_view_renders_no_return_and_builds_no_ray(self, monkeypatch):
         built = []  # one entry per window of rays cast against an obstacle

@@ -4,14 +4,14 @@ Run from the root of a checkout, on the package in its ``src``:
 
     python3 tools/trace_digests.py
 
-It runs each scenario under single-view and cross-view for seeds 0 to 19
-(120 episodes, about 45 s on a 2-core VM), writing into a temporary
-directory. It prints one line per written file, the trace CSV and
-the announcements file where there is one, as ``<sha256>  <file name>`` in
-name order, then ``<sha256>  ALL``: the sha256 of the lines above it. Run it
-on two checkouts and compare the output: equal ``ALL`` lines mean every file
-has the same bytes, and a diff of the lists names the episodes that differ.
-Unassisted episodes are left out: they run no sensing code.
+It runs each scenario under every condition (unassisted, single-view and
+cross-view) for seeds 0 to 19 (180 episodes, about 25 s on a 2-core VM),
+writing into a temporary directory. It prints one line per written file,
+the trace CSV and the announcements file where there is one, as
+``<sha256>  <file name>`` in name order, then ``<sha256>  ALL``: the sha256
+of the lines above it. Run it on two checkouts and compare the output:
+equal ``ALL`` lines mean every file has the same bytes, and a diff of the
+lists names the episodes that differ.
 """
 
 import hashlib
@@ -30,7 +30,7 @@ from crossnav.harness import load_scenario  # noqa: E402
 from crossnav.sim import Condition, run_episode  # noqa: E402
 
 SCENARIOS = ("canonical", "canonical_bend", "hanging_lamp")
-CONDITIONS = (Condition.SINGLE_VIEW, Condition.CROSS_VIEW)
+CONDITIONS = (Condition.UNASSISTED, Condition.SINGLE_VIEW, Condition.CROSS_VIEW)
 
 
 def digest_lines(scenarios, seeds) -> list:
