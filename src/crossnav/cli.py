@@ -78,7 +78,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    conditions = tuple(Condition(c.strip()) for c in args.conditions.split(",") if c.strip())
+    try:
+        conditions = tuple(Condition(c.strip()) for c in args.conditions.split(",") if c.strip())
+    except ValueError as exc:
+        raise ConfigError(f"conditions: {exc}") from None
     spec = SweepSpec(
         scenario=args.scenario,
         conditions=conditions,

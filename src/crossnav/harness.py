@@ -16,6 +16,7 @@ import dataclasses
 import inspect
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -374,29 +375,29 @@ class SweepSpec:
     sentinel_enabled: Optional[bool] = None  # None: as the scenario says
 
     def __post_init__(self):
-        if not self.conditions:
-            raise ValueError("sweep needs at least one condition")
-        if not self.seeds:
-            raise ValueError("sweep needs at least one seed")
+        for name in ("conditions", "seeds"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must list at least one {name[:-1]}")
         for seed in self.seeds:
             check_seed(seed)
-        for kind, values in (("condition", self.conditions), ("seed", self.seeds)):
+        for name, values in (("conditions", self.conditions), ("seeds", self.seeds)):
             for i, v in enumerate(values):
                 if v in values[:i]:  # the same episode would run twice over one trace
-                    raise ValueError(f"sweep lists {kind} {getattr(v, 'value', v)} more than once")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+                    raise ConfigError(f"{name} list {getattr(v, 'value', v)} more than once")
+        if isinstance(self.jobs, bool) or not isinstance(self.jobs, numbers.Integral) or self.jobs < 1:
+            raise ConfigError(f"jobs {self.jobs!r} must be a positive integer")
 
 
 def parse_seed_range(text: str) -> Tuple[int, ...]:
-    """Parse "A..B" (inclusive) or a single integer."""
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        if hi < lo:
-            raise ValueError(f"empty seed range {text!r}")
-        return tuple(range(lo, hi + 1))
-    return (int(text),)
+    """Parse "A..B" (inclusive) or a single integer; ConfigError names what is wrong."""
+    lo_s, dots, hi_s = text.partition("..")
+    try:
+        lo, hi = int(lo_s), int(hi_s if dots else lo_s)
+    except ValueError:
+        raise ConfigError(f"seeds {text!r} must be an integer or a range A..B") from None
+    if hi < lo:
+        raise ConfigError(f"seeds range {text!r} is empty")
+    return tuple(range(lo, hi + 1))
 
 
 def run_sweep(spec: SweepSpec) -> List[EpisodeReport]:

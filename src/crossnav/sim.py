@@ -5,7 +5,9 @@ human follower, two depth cameras at different heights, the potential-field
 planner, the reactive chest-view branch, the priority arbiter, and the
 depth sentinel. Tasks run at fixed rates on a single discrete event
 timeline with integer-nanosecond timestamps, so a given (scenario,
-condition, seed) always replays the exact same episode.
+condition, seed) always replays the exact same episode. That timeline is
+the only clock: ``step`` moves poses and keeps no time, and the time of the
+state, of each trace row and of every timed test is a tick time of it.
 
 Three study conditions are supported: an unassisted walker baseline, a
 robot-only stack (no chest view), and the full cross-view stack.
@@ -17,7 +19,7 @@ import functools
 import heapq
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -95,9 +97,8 @@ class TerminationStatus(Enum):
 
 @dataclass
 class WorldState:
-    """Everything that evolves during an episode; advanced only by step()."""
+    """The poses and the executed command, advanced only by step(); the time is the scheduler's."""
 
-    time: float
     robot_pose: np.ndarray  # (3,) x, y, theta in the world frame
     robot_vel: VelocityCommand  # executed command
     human_pose: np.ndarray  # (3,) x, y, heading
@@ -207,14 +208,17 @@ class SimParams:
     costmap_memory_s: float = 1.5
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         for name in ("dt", "timeout_s", "planner_rate_hz", "chest_rate_hz", "walker_rate_hz",
                      "follower_gain_hz", "human_speed_cap_mps", "robot_radius_m", "robot_height_m",
                      "walker_speed_mps"):
-            if not getattr(self, name) > 0:  # NaN too
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("goal_tolerance_m", "exec_min_command", "stall_window_s", "stall_grace_s",
-                     "collision_debounce_s", "walker_heading_sigma_rad", "depth_sigma_m",
-                     "costmap_memory_s"):
+        for name in ("goal_tolerance_m", "exec_min_command", "stall_norm", "stall_window_s",
+                     "stall_grace_s", "collision_debounce_s", "walker_heading_sigma_rad",
+                     "walker_backoff_s", "walker_sidestep_s", "depth_sigma_m", "costmap_memory_s"):
             if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be non-negative")
 
@@ -241,12 +245,12 @@ class EpisodeConfig:
             self.scene.validate(robot_clearance_m=self.perception.z_band_high_m)
         except ValueError as exc:
             raise ConfigError(f"scene: {exc}") from exc
-        if self.jitter_xy_m < 0:
-            raise ConfigError("jitter_xy_m must be non-negative")
+        if not 0 <= self.jitter_xy_m < math.inf:  # NaN fails too
+            raise ConfigError("jitter_xy_m must be non-negative and finite")
         if self.bend_window_s is not None:
             lo, hi = self.bend_window_s
-            if lo >= hi or lo < 0:
-                raise ConfigError("bend_window_s must be an increasing non-negative pair")
+            if not 0 <= lo < hi < math.inf:
+                raise ConfigError("bend_window_s must be an increasing non-negative pair of finite numbers")
         if self.scene.leash_length_m <= 2.0 * self.sim.robot_radius_m:
             raise ConfigError("leash_length_m must exceed the robot body length")
         if self.sentinel.roi is not None:
@@ -363,7 +367,6 @@ def step(
         robot = np.array([*_clamp_to_corridor(rx, ry, scene, 0.0), rth])
         robot_vel = v_cmd
     return WorldState(
-        time=state.time + dt,
         robot_pose=robot,
         robot_vel=robot_vel,
         human_pose=np.array([*_clamp_to_corridor(hx, hy, scene, scene.body_radius_m), hh]),
@@ -647,9 +650,9 @@ class CollisionTracker:
         return events
 
 
-def detect_collisions(state: WorldState, scene: Scene, tracker: CollisionTracker) -> List[CollisionEvent]:
-    """Entering-transition events at the current state (tracker holds history)."""
-    return tracker.update(state.time, state.human_pose[:2], state.robot_pose[:2])
+def detect_collisions(state: WorldState, now: float, tracker: CollisionTracker) -> List[CollisionEvent]:
+    """Entering-transition events at ``state``, which is at time ``now`` (tracker holds history)."""
+    return tracker.update(now, state.human_pose[:2], state.robot_pose[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -772,6 +775,11 @@ def jitter_scene(scene: Scene, amount: float, rng: np.random.Generator) -> Scene
 # engine
 
 
+def _tick_ns(k: int, rate_hz: float) -> int:
+    """Time of tick ``k`` of a task at ``rate_hz``, in integer nanoseconds; tick 0 is at 0."""
+    return int(round(k * 1e9 / rate_hz))
+
+
 class _Episode:
     def __init__(
         self,
@@ -813,7 +821,6 @@ class _Episode:
         init_source = CommandSource.WALKER if self.drive_human else CommandSource.APF
         self.executed = VelocityCommand.zero(0.0, init_source)
         self.state = WorldState(
-            time=0.0,
             robot_pose=start.copy(),
             robot_vel=self.executed,
             human_pose=np.array([human_xy[0], human_xy[1], heading]),
@@ -850,14 +857,17 @@ class _Episode:
         self.collisions: List[CollisionEvent] = []
         self.stall_since: Optional[float] = None
         self.status: Optional[TerminationStatus] = None
-        self.end_time: Optional[float] = None
+        # the time of ``state``: after physics tick k, the scheduler's time of tick k + 1
+        self.physics_rate_hz = 1.0 / config.sim.dt
+        self.physics_ticks = 0
+        self.time = 0.0
 
     # -- schedule -----------------------------------------------------------
 
     def _tasks(self) -> List[Tuple[float, int, Callable[[float], None]]]:
         """(rate Hz, priority, tick) per task; at one instant lower priorities tick first."""
         sim = self.config.sim
-        physics = (1.0 / sim.dt, 40, self._physics_tick)
+        physics = (self.physics_rate_hz, 40, self._physics_tick)
         if self.condition is Condition.UNASSISTED:
             return [(sim.walker_rate_hz, 30, self._walker_tick), physics]
         tasks = [
@@ -880,7 +890,7 @@ class _Episode:
             t_ns, priority, i, k = heapq.heappop(heap)
             rate, _, tick = tasks[i]
             tick(t_ns * 1e-9)
-            heapq.heappush(heap, (int(round((k + 1) * 1e9 / rate)), priority, i, k + 1))
+            heapq.heappush(heap, (_tick_ns(k + 1, rate), priority, i, k + 1))
         return self._finish()
 
     # -- tasks ---------------------------------------------------------------
@@ -970,13 +980,16 @@ class _Episode:
         self._command_changed()
 
     def _physics_tick(self, now: float) -> None:
+        """Step from ``now`` to the next physics tick's time and judge the state there."""
         sim = self.config.sim
         self.state = step(self.state, self.executed, sim.dt, self.scene, self.follower, self.drive_human)
+        self.physics_ticks += 1
+        t = self.time = _tick_ns(self.physics_ticks, self.physics_rate_hz) * 1e-9
         if self.config.bend_window_s is not None:
-            self.state.human_bend = self._bend_at(self.state.time)
+            self.state.human_bend = self._bend_at(t)
 
         events: List[str] = []
-        for ev in detect_collisions(self.state, self.scene, self.tracker):
+        for ev in detect_collisions(self.state, t, self.tracker):
             self.collisions.append(ev)
             if ev.agent == "human":
                 events.append(f"collision:{ev.kind.value}:{ev.obstacle_id}")
@@ -987,26 +1000,23 @@ class _Episode:
         tolerance = sim.goal_tolerance_m
         if _hypot_vs(self.goal_x - x, self.goal_y - y, tolerance) <= tolerance:
             self.status = TerminationStatus.GOAL
-        elif self._stalled(now):
+        elif self._stalled(t):
             self.status = TerminationStatus.STALLED
-        elif self.state.time >= sim.timeout_s - 1e-9:
+        elif t >= sim.timeout_s:
             self.status = TerminationStatus.TIMEOUT
         if self.status is not None:
             events.append(self.status.value)
-            self.end_time = self.state.time
         self.rows.append(self._format_row(events))
 
-    def _stalled(self, now: float) -> bool:
+    def _stalled(self, t: float) -> bool:
         sim = self.config.sim
-        if self.state.time <= sim.stall_grace_s:
-            return False
-        if self.executed_norm >= sim.stall_norm:
+        if t <= sim.stall_grace_s or self.executed_norm >= sim.stall_norm:
             self.stall_since = None
             return False
         if self.stall_since is None:
-            self.stall_since = self.state.time
+            self.stall_since = t
             return False
-        return self.state.time - self.stall_since >= sim.stall_window_s
+        return t - self.stall_since >= sim.stall_window_s
 
     def _bend_at(self, t: float) -> BendPose:
         win = self.config.bend_window_s
@@ -1032,7 +1042,7 @@ class _Episode:
         st = self.state
         rx, ry, rth = st.robot_pose.tolist()
         hx, hy, _ = st.human_pose.tolist()
-        return _ROW % (st.time, rx, ry, rth, hx, hy, self.command_columns, "|".join(events))
+        return _ROW % (self.time, rx, ry, rth, hx, hy, self.command_columns, "|".join(events))
 
     def _finish(self) -> EpisodeReport:
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -1051,7 +1061,7 @@ class _Episode:
             condition=self.condition,
             seed=self.seed,
             status=self.status,
-            completion_time_s=self.end_time if self.status is TerminationStatus.GOAL else None,
+            completion_time_s=self.time if self.status is TerminationStatus.GOAL else None,
             collisions_total=ground + overhead,
             collisions_ground=ground,
             collisions_overhead=overhead,

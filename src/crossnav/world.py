@@ -488,13 +488,20 @@ def render_depth(
 
 
 def apply_depth_noise(img: DepthImage, sigma: float, rng: np.random.Generator) -> DepthImage:
-    """Zero-mean Gaussian depth noise on valid pixels, clipped to (0, max_range]; keeps the return box."""
+    """Zero-mean Gaussian depth noise on valid pixels, clipped to (0, max_range]; keeps the return box.
+
+    Only the box is scanned: it holds every valid pixel, in the image's
+    row-major order, so the draws are those of a whole-image scan. The depth
+    returned is a writable copy.
+    """
     if sigma <= 0:
         return img
-    mask = img.valid_mask()
     noisy = img.depth.copy()
-    noisy[mask] = np.clip(
-        noisy[mask] + rng.normal(0.0, sigma, size=int(mask.sum())),
+    top, bottom, left, right = img.box
+    window = noisy[top:bottom, left:right]  # a view: writes land in noisy
+    mask = np.isfinite(window) & (window > 0)
+    window[mask] = np.clip(
+        window[mask] + rng.normal(0.0, sigma, size=int(mask.sum())),
         np.finfo(np.float64).tiny,
         img.intrinsics.max_range,
     )

@@ -87,7 +87,6 @@ def step(
         robot[:2] = _clamp_to_corridor(robot[:2], scene, 0.0)
         robot_vel = v_cmd
     return WorldState(
-        time=state.time + dt,
         robot_pose=robot,
         robot_vel=robot_vel,
         human_pose=human,

@@ -564,12 +564,13 @@ class TestSeedRange:
         assert parse_seed_range("3..3") == (3,)
 
     def test_descending_range_is_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="seeds range '4..2' is empty"):
             parse_seed_range("4..2")
 
-    def test_garbage_is_rejected(self):
-        with pytest.raises(ValueError):
-            parse_seed_range("five")
+    @pytest.mark.parametrize("text", ["five", "1..x", "", "2.5"])
+    def test_garbage_is_rejected(self, text):
+        with pytest.raises(ConfigError, match=f"seeds {text!r} must be an integer or a range"):
+            parse_seed_range(text)
 
 
 def report_of(condition, seed=0, status=TerminationStatus.GOAL, time_s=10.0,
@@ -590,19 +591,21 @@ def report_of(condition, seed=0, status=TerminationStatus.GOAL, time_s=10.0,
 
 class TestSweep:
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="conditions must list at least one condition"):
             SweepSpec(str(MINI), (), (0,), "out")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="seeds must list at least one seed"):
             SweepSpec(str(MINI), (Condition.UNASSISTED,), (), "out")
-        with pytest.raises(ValueError):
-            SweepSpec(str(MINI), (Condition.UNASSISTED,), (0,), "out", jobs=0)
+        for jobs in (0, -1, 1.5, True, "2"):
+            with pytest.raises(ConfigError, match=f"jobs {jobs!r} must be a positive integer"):
+                SweepSpec(str(MINI), (Condition.UNASSISTED,), (0,), "out", jobs=jobs)
+        SweepSpec(str(MINI), (Condition.UNASSISTED,), (0,), "out", jobs=np.int64(2))
 
     def test_spec_refuses_a_repeated_condition_or_seed(self):
         # a repeat would run the same episode twice over one trace file and
         # count it twice in the summary
-        with pytest.raises(ValueError, match="condition singleview more than once"):
+        with pytest.raises(ConfigError, match="conditions list singleview more than once"):
             SweepSpec(str(MINI), (Condition.SINGLE_VIEW, Condition.SINGLE_VIEW), (0,), "out")
-        with pytest.raises(ValueError, match="seed 3 more than once"):
+        with pytest.raises(ConfigError, match="seeds list 3 more than once"):
             SweepSpec(str(MINI), (Condition.UNASSISTED,), (3, 1, 3), "out")
         SweepSpec(str(MINI), (Condition.UNASSISTED, Condition.SINGLE_VIEW), (1, 3), "out")
 
@@ -622,8 +625,24 @@ class TestSweep:
     def test_cli_refuses_a_repeated_condition_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "sweep"
         argv = ["sweep", "--scenario", str(MINI), "--seeds", "0", "--out", str(out)]
-        assert cli.main(argv + ["--conditions", "singleview,singleview"]) != 0
-        assert "condition singleview more than once" in capsys.readouterr().err
+        assert cli.main(argv + ["--conditions", "singleview,singleview"]) == 2
+        assert "conditions list singleview more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--jobs", "0"], "jobs 0 must be a positive integer"),
+        (["--conditions", ","], "conditions must list at least one condition"),
+        (["--conditions", "unassisted,walking"], "conditions: 'walking' is not a valid Condition"),
+        (["--seeds", "4..2"], "seeds range '4..2' is empty"),
+        (["--seeds", "0..three"], "seeds '0..three' must be an integer or a range A..B"),
+        (["--seeds", "0,1"], "seeds '0,1' must be an integer or a range A..B"),
+    ])
+    def test_cli_exits_2_on_a_bad_sweep_spec_naming_the_field(self, tmp_path, capsys, args, message):
+        # 2 is the exit code for bad input; 1 is kept for failures while running
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--scenario", str(MINI), "--seeds", "0", "--out", str(out)]
+        assert cli.main(argv + args) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_runs_every_cell_in_stable_order(self, tmp_path):

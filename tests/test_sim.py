@@ -5,7 +5,6 @@ import dataclasses
 import math
 import os
 import random
-import struct
 import subprocess
 import sys
 import types
@@ -17,6 +16,7 @@ import pytest
 from crossnav import sim
 from crossnav.arbiter import ArbiterConfig, ArbitrationDecision, command_norm
 from crossnav.geometry import FrameId, RigidTransform, compose, rot_z
+from crossnav.harness import load_scenario
 from crossnav.human_branch import HumanSafetyParams, detect_hazard
 from crossnav.perception import nonfree_centers
 from crossnav.planner import ApfParams, CommandSource, VelocityCommand
@@ -107,7 +107,6 @@ def config_of(scene, name="mini", **kw):
 
 def world_state(robot=(0.0, 0.0, 0.0), human=(-1.0, 0.0, 0.0)):
     return WorldState(
-        time=0.0,
         robot_pose=np.array(robot, dtype=float),
         robot_vel=VelocityCommand.zero(0.0, CommandSource.APF),
         human_pose=np.array(human, dtype=float),
@@ -126,7 +125,12 @@ class TestStepKinematics:
     def test_straight_line(self):
         s1 = step(world_state(), cmd(v_x=1.0), 0.02, EMPTY)
         np.testing.assert_allclose(s1.robot_pose, [0.02, 0.0, 0.0], atol=1e-15)
-        assert s1.time == 0.02
+
+    def test_step_keeps_no_time(self):
+        # the scheduler is the only clock: the state carries poses and the command
+        assert [f.name for f in dataclasses.fields(WorldState)] == [
+            "robot_pose", "robot_vel", "human_pose", "human_bend"
+        ]
 
     def test_strafe_moves_along_body_y(self):
         s1 = step(world_state(), cmd(v_y=0.5), 0.02, EMPTY)
@@ -316,7 +320,6 @@ class TestScalarPhysicsIsExact:
         if r.random() < 0.03:
             (robot if r.random() < 0.5 else human)[r.randrange(3)] = r.choice((math.nan, -math.nan))
         state = WorldState(
-            time=r.choice((0.0, r.uniform(0.0, 120.0), 72.86000000000264)),
             robot_pose=np.array(robot),
             robot_vel=cmd(),
             human_pose=np.array(human),
@@ -357,7 +360,6 @@ class TestScalarPhysicsIsExact:
                 assert new.dtype == np.float64 and new.shape == (3,), (i, name)
                 assert self.same_bits(new, old), (i, name, args, new, old)
                 assert new is not getattr(state, name)
-            assert struct.pack("d", got.time) == struct.pack("d", want.time), i
             assert got.robot_vel is want.robot_vel and got.human_bend is want.human_bend
             if not drive_human:
                 params = follower or FollowerParams(scene.leash_length_m, 2.0, 1.5)
@@ -743,7 +745,7 @@ class TestCollisionTracker:
         scene = scene_of([box((1.0, 0.0), (0.3, 0.3))])
         tracker = CollisionTracker(scene, self.SIM, robot_enabled=False)
         state = world_state(robot=(1.0, 0.0, 0.0), human=(4.0, 0.0, 0.0))
-        assert detect_collisions(state, scene, tracker) == []
+        assert detect_collisions(state, 0.0, tracker) == []
 
     def test_events_of_one_tick_come_in_obstacle_order_human_first(self):
         scene = scene_of([box((1.0, 0.0), (0.3, 0.3), oid="A"), box((4.0, 0.0), (0.3, 0.3), oid="B")])
@@ -1067,9 +1069,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config_of(scene_of(), bend_window_s=(-1.0, 2.0)).validate()
 
+    @pytest.mark.parametrize("window", [(math.nan, 5.0), (2.0, math.nan), (2.0, math.inf), (-math.inf, 5.0)])
+    def test_a_non_finite_bend_window_is_rejected(self, window):
+        # (nan, 5.0) passed both order tests, and its episode never bent
+        with pytest.raises(ConfigError, match="bend_window_s must be an increasing non-negative pair of finite"):
+            config_of(scene_of(), bend_window_s=window).validate()
+
     def test_negative_jitter_is_rejected(self):
         with pytest.raises(ConfigError):
             config_of(scene_of(), jitter_xy_m=-0.1).validate()
+
+    @pytest.mark.parametrize("jitter", [math.nan, math.inf])
+    def test_non_finite_jitter_is_rejected_before_the_episode_runs(self, tmp_path, jitter):
+        # it used to pass, and run_episode died in numpy with an OverflowError
+        with pytest.raises(ConfigError, match="jitter_xy_m must be non-negative and finite"):
+            run_episode(config_of(MINI, jitter_xy_m=jitter), Condition.UNASSISTED, 0, tmp_path)
+        assert not any(tmp_path.iterdir())
 
     def test_sim_params_validation(self):
         for kw in ({"dt": 0.0}, {"timeout_s": 0.0}, {"planner_rate_hz": 0.0},
@@ -1077,6 +1092,14 @@ class TestConfigValidation:
                    {"walker_heading_sigma_rad": math.nan}):
             with pytest.raises(ConfigError):
                 SimParams(**kw)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SimParams)])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_sim_params_refuse_non_finite_values(self, name, value):
+        # timeout_s=inf constructed, and an episode that neither reached the
+        # goal nor stalled would never end
+        with pytest.raises(ConfigError, match=f"^{name} must be finite$"):
+            SimParams(**{name: value})
 
     def test_perception_spec_validation(self):
         for kw in ({"resolution_m": 0.0}, {"width": 0}, {"r_inf_m": -0.1},
@@ -1093,12 +1116,13 @@ class TestFormatRow:
     """A row built from ``_command_changed``'s columns and ``_format_row`` has the bytes of the f-string it replaced."""
 
     @staticmethod
-    def f_string_row(st, cmd, decision, roi_depth, events):
-        # the row as the f-string wrote it, verbatim
+    def f_string_row(t, st, cmd, decision, roi_depth, events):
+        # the row as the f-string wrote it, verbatim, save that the time
+        # is the episode's and no longer the state's
         a = decision.a if decision is not None else 0
         depth = "" if roi_depth is None else f"{roi_depth:.3f}"
         return (
-            f"{st.time:.3f},{st.robot_pose[0]:.6f},{st.robot_pose[1]:.6f},{st.robot_pose[2]:.6f},"
+            f"{t:.3f},{st.robot_pose[0]:.6f},{st.robot_pose[1]:.6f},{st.robot_pose[2]:.6f},"
             f"{st.human_pose[0]:.6f},{st.human_pose[1]:.6f},{cmd.source.value},{a},"
             f"{cmd.v_x:.6f},{cmd.v_y:.6f},{cmd.w_z:.6f},{depth},{'|'.join(events)}"
         )
@@ -1115,10 +1139,10 @@ class TestFormatRow:
         return out + [np.float64(math.nan), np.float64(math.inf), np.float64(-math.inf)]
 
     @staticmethod
-    def row(state, executed, decision, roi_depth, events):
+    def row(t, state, executed, decision, roi_depth, events):
         """The row of an episode holding these values, its command columns formatted first."""
         episode = types.SimpleNamespace(
-            state=state, executed=executed, decision=decision, roi_depth=roi_depth,
+            time=t, state=state, executed=executed, decision=decision, roi_depth=roi_depth,
             config=types.SimpleNamespace(arbiter=ArbiterConfig()),
         )
         _Episode._command_changed(episode)
@@ -1135,8 +1159,8 @@ class TestFormatRow:
             return np.float64(rng.normal(0.0, 5.0))
 
         for i in range(2000):
+            t = pick()
             state = WorldState(
-                time=pick(),
                 robot_pose=np.array([pick(), pick(), pick()]),
                 robot_vel=cmd(),
                 human_pose=np.array([pick(), pick(), pick()]),
@@ -1147,10 +1171,10 @@ class TestFormatRow:
             decision = None if i % 3 == 0 else ArbitrationDecision(i % 2, executed)
             roi_depth = (None, pick(), float(pick()), np.float64(math.inf))[i % 4]
             events = events_cases[i % 3]
-            got = self.row(state, executed, decision, roi_depth, events)
-            assert got == self.f_string_row(state, executed, decision, roi_depth, events), i
+            got = self.row(t, state, executed, decision, roi_depth, events)
+            assert got == self.f_string_row(t, state, executed, decision, roi_depth, events), i
         negative_zero = self.row(
-            world_state(robot=(-0.0, -1e-9, 0.0), human=(-0.0, 0.0, 0.0)), cmd(-0.0), None, None, []
+            0.0, world_state(robot=(-0.0, -1e-9, 0.0), human=(-0.0, 0.0, 0.0)), cmd(-0.0), None, None, []
         )
         assert negative_zero == "0.000,-0.000000,-0.000000,0.000000,-0.000000,0.000000,apf,0,-0.000000,0.000000,0.000000,,"
 
@@ -1163,7 +1187,7 @@ class TestFormatRow:
         def checked(episode, events):
             row = format_row(episode, events)
             assert row == self.f_string_row(
-                episode.state, episode.executed, episode.decision, episode.roi_depth, events
+                episode.time, episode.state, episode.executed, episode.decision, episode.roi_depth, events
             ), len(rows)
             assert episode.executed_norm == command_norm(episode.executed, episode.config.arbiter.char_length)
             rows.append(row)
@@ -1337,6 +1361,84 @@ class TestRunEpisode:
         # the failed description is logged as an empty line, not dropped
         side = Path(bad.trace_path).with_suffix(".announcements.txt")
         assert all(ln.endswith("\t") for ln in side.read_text().splitlines() if ln)
+
+
+class TestOneClock:
+    """The scheduler's integer-nanosecond tick times are the only time in an episode."""
+
+    @staticmethod
+    def trace_rows(report):
+        with open(report.trace_path) as fh:
+            return list(csv.DictReader(fh))
+
+    def test_canonical_unassisted_seed_0_completes_at_its_tick_time(self, tmp_path):
+        report = run_episode(load_scenario("canonical"), Condition.UNASSISTED, 0, tmp_path)
+        # a float sum of dt read 72.86000000000264
+        assert report.status is TerminationStatus.GOAL and report.completion_time_s == 72.86
+
+    def test_a_recontact_one_second_after_the_last_event_is_a_new_event(self, tmp_path):
+        # the person touches the chair again 1.000 s after its first event; a
+        # float sum of dt read that gap as 0.9999999999999787, inside the
+        # 1 s debounce, and dropped the second event
+        report = run_episode(load_scenario("canonical"), Condition.UNASSISTED, 13, tmp_path)
+        chair = [r["t"] for r in self.trace_rows(report) if "collision:ground:chair" in r["event"]]
+        assert chair[:2] == ["10.860", "11.860"]
+        assert report.collisions_ground == 3
+
+    @pytest.mark.parametrize("ticks", [1, 3, 29, 50, 71, 97])
+    def test_a_timeout_on_a_tick_boundary_ends_on_that_ticks_row(self, tmp_path, ticks):
+        timeout = ticks / 50  # the double nearest ticks * 0.02 s
+        report = run_episode(config_of(MINI, sim={"timeout_s": timeout}), Condition.UNASSISTED, 0, tmp_path)
+        rows = self.trace_rows(report)
+        assert report.status is TerminationStatus.TIMEOUT
+        assert len(rows) == ticks + 1
+        assert rows[-1]["t"] == f"{timeout:.3f}" and rows[-1]["event"] == "timeout"
+
+    def test_a_timeout_just_past_a_tick_waits_for_the_next_tick(self, tmp_path):
+        # within the 1e-9 s slack the timeout test once had
+        report = run_episode(config_of(MINI, sim={"timeout_s": 1.0 + 5e-10}), Condition.UNASSISTED, 0, tmp_path)
+        assert self.trace_rows(report)[-1]["t"] == "1.020"
+
+    def test_a_tick_time_never_reads_below_its_decimal_value(self):
+        """So ``t >= c``, for a constant c on a tick boundary, holds from that tick on.
+
+        A tick time is t_ns * 1e-9, and the double 1e-9 lies above 1e-9, so
+        by monotone rounding t_ns * 1e-9 is never below t_ns / 1e9, the
+        double nearest the decimal time.
+        """
+        above = 0
+        for rate in (50.0, 1.0 / 0.02, 10.0, 15.0, 20.0, 1.0 / 0.03, 1.0 / 0.007):
+            for k in range(12_000):
+                t_ns = sim._tick_ns(k, rate)
+                assert t_ns * 1e-9 >= t_ns / 1e9, (rate, k)
+                above += t_ns * 1e-9 > t_ns / 1e9
+        r = random.Random(17)
+        for _ in range(20_000):
+            t_ns = r.randrange(2**53)
+            assert t_ns * 1e-9 >= t_ns / 1e9, t_ns
+        assert above > 10_000  # the case the property is about occurs
+
+    def test_every_task_reads_a_state_at_the_first_physics_instant_not_before_its_now(self, tmp_path, monkeypatch):
+        # physics ticks last at an instant, so a task on the physics grid reads
+        # the state at its own now, and one between (15 Hz chest) the state
+        # physics has already stepped to the next grid instant
+        seen = []
+        for name in ("_planner_tick", "_chest_tick", "_arbiter_tick", "_walker_tick"):
+            def checked(episode, now, tick=getattr(_Episode, name)):
+                seen.append((episode.time, now))
+                tick(episode, now)
+
+            monkeypatch.setattr(_Episode, name, checked)
+        for condition in (Condition.UNASSISTED, Condition.CROSS_VIEW):
+            run_episode(config_of(MINI), condition, 0, tmp_path)
+        dt_ns = 20_000_000
+        for t, now in seen:
+            t_ns, now_ns = round(t * 1e9), round(now * 1e9)
+            assert t_ns % dt_ns == 0 and now_ns <= t_ns < now_ns + dt_ns, (t, now)
+            # on the physics grid a task's now is the state's time, bit for bit
+            assert (t == now) == (t_ns == now_ns), (t, now)
+        on_grid = sum(t == now for t, now in seen)
+        assert on_grid > 300 and len(seen) - on_grid > 50  # the 15 Hz chest ticks fall between
 
 
 def hazard_bytes(hazard):

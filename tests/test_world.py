@@ -761,6 +761,50 @@ class TestDepthNoise:
         assert np.all(changed != 3.0) and np.all(changed > 0)
         assert np.all(changed <= INTR.max_range)
 
+    @staticmethod
+    def whole_image_noise(img, sigma, rng):
+        # apply_depth_noise's body when it scanned the whole image, verbatim
+        mask = img.valid_mask()
+        noisy = img.depth.copy()
+        noisy[mask] = np.clip(
+            noisy[mask] + rng.normal(0.0, sigma, size=int(mask.sum())),
+            np.finfo(np.float64).tiny,
+            img.intrinsics.max_range,
+        )
+        return noisy
+
+    def test_scanning_the_box_gives_the_bytes_of_a_whole_image_scan(self):
+        """Same depths and same generator state after, on random images and return boxes."""
+        r = np.random.default_rng(20261020)
+        specials = [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, 1e-300, INTR.max_range, INTR.max_range - 1e-3]
+        kinds = set()
+        for i in range(600):
+            h, w = INTR.height, INTR.width
+            top, bottom = sorted(r.integers(0, h + 1, size=2).tolist())
+            left, right = sorted(r.integers(0, w + 1, size=2).tolist())
+            if i % 10 == 0:
+                top, bottom, left, right = (0, h, 0, w) if i % 20 else (3, 3, 5, 9)
+            # outside the box no depth is finite; inside it every kind occurs
+            depth = r.choice([np.nan, np.inf, -np.inf], size=(h, w), p=[0.8, 0.1, 0.1])
+            inside = r.uniform(0.1, INTR.max_range, size=(bottom - top, right - left))
+            pick = r.random(inside.shape)
+            inside[pick < 0.3] = np.nan
+            special = pick > 0.9
+            inside[special] = r.choice(specials, size=int(special.sum()))
+            depth[top:bottom, left:right] = inside
+            img = DepthImage(INTR, depth, FrameId.OPTICAL_DOG, (top, bottom, left, right))
+            sigma = float(r.choice([0.01, 0.05, 3.0]))
+            seed = int(r.integers(2**32))
+            want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = self.whole_image_noise(img, sigma, want_rng)
+            got = apply_depth_noise(img, sigma, got_rng)
+            assert got.depth.tobytes() == want.tobytes(), i
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, i
+            assert got.box == img.box and got.depth.flags.writeable and got.depth is not img.depth
+            kinds.add("empty" if top == bottom or left == right else "whole" if bottom - top == h
+                      and right - left == w else "part")
+        assert kinds == {"empty", "part", "whole"}
+
     def test_mismatched_shape_rejected(self):
         with pytest.raises(ValueError):
             DepthImage(INTR, np.zeros((2, 2)), FrameId.OPTICAL_DOG)
