@@ -777,7 +777,7 @@ def jitter_scene(scene: Scene, amount: float, rng: np.random.Generator) -> Scene
 
 def _tick_ns(k: int, rate_hz: float) -> int:
     """Time of tick ``k`` of a task at ``rate_hz``, in integer nanoseconds; tick 0 is at 0."""
-    return int(round(k * 1e9 / rate_hz))
+    return round(k * 1e9 / rate_hz)  # round of a float is an int
 
 
 class _Episode:

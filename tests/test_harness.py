@@ -567,10 +567,10 @@ class TestSeedRange:
         with pytest.raises(ConfigError, match="seeds range '4..2' is empty"):
             parse_seed_range("4..2")
 
-    @pytest.mark.parametrize("text", ["five", "1..x", "", "2.5"])
-    def test_garbage_is_rejected(self, text):
-        with pytest.raises(ConfigError, match=f"seeds {text!r} must be an integer or a range"):
-            parse_seed_range(text)
+    def test_garbage_is_rejected(self):
+        for text in ("five", "1..x", "3..", "", "2.5"):
+            with pytest.raises(ConfigError, match=f"seeds {text!r} must be an integer or a range"):
+                parse_seed_range(text)
 
 
 def report_of(condition, seed=0, status=TerminationStatus.GOAL, time_s=10.0,
