@@ -7,7 +7,7 @@ depth sentinel. Tasks run at fixed rates on a single discrete event
 timeline with integer-nanosecond timestamps, so a given (scenario,
 condition, seed) always replays the exact same episode. That timeline is
 the only clock: ``step`` moves poses and keeps no time, and the time of the
-state, of each trace row and of every timed test is a tick time of it.
+state, of each trace row and of every check on time is a tick time of it.
 
 Three study conditions are supported: an unassisted walker baseline, a
 robot-only stack (no chest view), and the full cross-view stack.
