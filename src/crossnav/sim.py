@@ -858,9 +858,9 @@ class _Episode:
         self.stall_since: Optional[float] = None
         self.status: Optional[TerminationStatus] = None
         # the time of ``state``: after physics tick k, the scheduler's time of tick k + 1
-        self.physics_rate_hz = 1.0 / config.sim.dt
-        self.physics_ticks = 0
         self.time = 0.0
+        self.physics_ticks = 0
+        self.physics_rate_hz = 1.0 / config.sim.dt
 
     # -- schedule -----------------------------------------------------------
 
