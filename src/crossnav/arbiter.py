@@ -9,7 +9,7 @@ own tick rate and drops any older than the staleness timeout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .planner import CommandSource, VelocityCommand
@@ -23,6 +23,9 @@ class ArbiterConfig:
     char_length: float = 0.5  # meters; weights w_z in the mixed-unit norm
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.staleness_timeout <= 0 or self.tick_rate <= 0 or self.char_length <= 0:

@@ -9,7 +9,8 @@ recovery) when a hazard sits inside the safety margin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Optional
 
@@ -35,6 +36,9 @@ class HumanSafetyParams:
     max_evade_turn: float = 1.2  # rad of cumulative turn per engagement
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not (0 < self.d_brake < self.d_safe):
             raise ValueError("need 0 < d_brake < d_safe")
         if self.z_low >= self.z_high:

@@ -13,7 +13,7 @@ first-order smoothing turns it into a velocity command.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional
 
@@ -71,6 +71,9 @@ class ApfParams:
     smoothing_alpha: float = 0.3
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"ApfParams.{f.name} must be finite")
         for name in ("k_att", "k_rep", "d0", "v_max", "w_max", "admittance_gain", "yaw_gain"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"ApfParams.{name} must be strictly positive")

@@ -9,6 +9,7 @@ only and never feeds back into motion commands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -65,6 +66,9 @@ class SentinelConfig:
     roi: Optional[RoiSpec] = None  # None: derive from the image intrinsics
 
     def __post_init__(self):
+        for name in ("d_crit", "debounce"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.d_crit <= 0:
             raise ValueError("d_crit must be positive")
         if self.debounce < 0:

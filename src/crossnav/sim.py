@@ -8,6 +8,8 @@ timeline with integer-nanosecond timestamps, so a given (scenario,
 condition, seed) always replays the exact same episode. That timeline is
 the only clock: ``step`` moves poses and keeps no time, and the time of the
 state, of each trace row and of every check on time is a tick time of it.
+The physics state is plain Python floats: each pose is an (x, y, heading)
+triple, and ``step`` returns a new state rather than changing its input.
 
 Three study conditions are supported: an unassisted walker baseline, a
 robot-only stack (no chest view), and the full cross-view stack.
@@ -97,11 +99,16 @@ class TerminationStatus(Enum):
 
 @dataclass
 class WorldState:
-    """The poses and the executed command, advanced only by step(); the time is the scheduler's."""
+    """The poses and the executed command; the time is the scheduler's.
 
-    robot_pose: np.ndarray  # (3,) x, y, theta in the world frame
+    Each pose is a tuple of three Python floats, (x, y, heading) in the
+    world frame, so a pose is never changed in place: ``step`` builds the
+    next state's poses as new tuples.
+    """
+
+    robot_pose: Tuple[float, float, float]
     robot_vel: VelocityCommand  # executed command
-    human_pose: np.ndarray  # (3,) x, y, heading
+    human_pose: Tuple[float, float, float]
     human_bend: BendPose
 
 
@@ -169,6 +176,9 @@ class PerceptionSpec:
         object.__setattr__(
             self, "origin_xy", np.asarray(self.origin_xy, dtype=np.float64).reshape(2)
         )
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)).all():
+                raise ConfigError(f"perception.{f.name} must be finite")
         if self.resolution_m <= 0:
             raise ConfigError("perception.resolution_m must be positive")
         if self.width <= 0 or self.height <= 0:
@@ -268,7 +278,7 @@ def _wrap_angle(a: float) -> float:
     return math.atan2(math.sin(a), math.cos(a))
 
 
-# The physics tick runs on Python floats read once from each pose. Float
+# The physics tick runs on Python floats: each pose is a float triple. Float
 # arithmetic rounds exactly as float64 numpy does, so each expression below
 # keeps the operands and the order of the array code it replaced. A distance
 # that enters a pose stays np.hypot, since math.hypot rounds differently; a
@@ -308,33 +318,53 @@ def _integrate_unicycle(
 
 def human_follower(state: WorldState, params: FollowerParams, dt: float) -> Tuple[float, float, float]:
     """One follower update: new (x, y, heading) for the human, as floats."""
-    rx, ry = state.robot_pose[:2].tolist()
-    hx, hy, hh = state.human_pose.tolist()
+    rx, ry, _ = state.robot_pose
+    hx, hy, hh = state.human_pose
     ox, oy = rx - hx, ry - hy
     dist = float(np.hypot(ox, oy))
     if dist < 1e-9:
         dx, dy = math.cos(hh), math.sin(hh)
     else:
         dx, dy = ox / dist, oy / dist
-    # walk only when the leash is taut; a slack leash means wait, never back up
-    advance = max(dist - params.leash_length_m, 0.0)
-    speed = min(params.gain_hz * advance, params.speed_cap_mps)
+    # walk only when the leash is taut; a slack leash means wait, never back up.
+    # As max(advance, 0.0) and min(speed, cap), compared, not called: a NaN
+    # and a tie keep the first value
+    advance = dist - params.leash_length_m
+    if advance < 0.0:
+        advance = 0.0
+    speed = params.gain_hz * advance
+    if params.speed_cap_mps < speed:
+        speed = params.speed_cap_mps
     nx, ny = hx + speed * dx * dt, hy + speed * dy * dt
     tx, ty = rx - nx, ry - ny
     heading = math.atan2(ty, tx) if _hypot_vs(tx, ty, 1e-9) > 1e-9 else hh
     return nx, ny, heading
 
 
-def _clamp_to_corridor(x: float, y: float, scene: Scene, margin: float) -> Tuple[float, float]:
-    # bound first: on a tie the wall's own value wins, signed zero included,
-    # as in numpy's float64 minimum/maximum on x86; a NaN passes through as
-    # it does there, where min/max would put it on the low wall
+def _clamp_to_corridor(
+    x: float, y: float, heading: float, scene: Scene, margin: float
+) -> Tuple[float, float, float]:
+    """The pose with x and y clamped to the corridor less ``margin``: min(hi, max(lo, v)) by comparisons.
+
+    The wall's own value wins a tie, signed zero included, as in numpy's
+    float64 minimum/maximum on x86, and on a corridor narrower than twice
+    the margin the high wall wins. A NaN passes through as it does there,
+    where min/max would put it on the low wall.
+    """
     lo_x, lo_y, hi_x, hi_y = scene.corridor_bounds
-    if x == x:
-        x = min(hi_x - margin, max(lo_x + margin, x))
-    if y == y:
-        y = min(hi_y - margin, max(lo_y + margin, y))
-    return x, y
+    lo, hi = lo_x + margin, hi_x - margin
+    if x > lo:
+        if not x < hi:
+            x = hi
+    elif x == x:
+        x = lo if lo < hi else hi
+    lo, hi = lo_y + margin, hi_y - margin
+    if y > lo:
+        if not y < hi:
+            y = hi
+    elif y == y:
+        y = lo if lo < hi else hi
+    return x, y, heading
 
 
 def step(
@@ -345,32 +375,30 @@ def step(
     follower: Optional[FollowerParams] = None,
     drive_human: bool = False,
 ) -> WorldState:
-    """Advance the world by dt under the executed command.
+    """The world after dt under the executed command, as a new state.
 
     Normally the command drives the robot and the human follows on the
     leash; with ``drive_human`` the command moves the human directly and the
     robot stays parked (the unassisted baseline). Positions are clamped to
-    the corridor walls.
+    the corridor walls. ``state`` is left as it is; the poses of the state
+    returned are new (x, y, heading) float triples, save a parked robot's,
+    which is the same immutable tuple.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if drive_human:
-        hx, hy, hh = _integrate_unicycle(*state.human_pose.tolist(), v_cmd, dt)
-        robot = state.robot_pose.copy()
+        human = _integrate_unicycle(*state.human_pose, v_cmd, dt)
+        robot = state.robot_pose
         robot_vel = state.robot_vel
     else:
         f = follower if follower is not None else FollowerParams(
             scene.leash_length_m, SimParams.follower_gain_hz, SimParams.human_speed_cap_mps
         )
-        hx, hy, hh = human_follower(state, f, dt)
-        rx, ry, rth = _integrate_unicycle(*state.robot_pose.tolist(), v_cmd, dt)
-        robot = np.array([*_clamp_to_corridor(rx, ry, scene, 0.0), rth])
+        human = human_follower(state, f, dt)
+        robot = _clamp_to_corridor(*_integrate_unicycle(*state.robot_pose, v_cmd, dt), scene, 0.0)
         robot_vel = v_cmd
     return WorldState(
-        robot_pose=robot,
-        robot_vel=robot_vel,
-        human_pose=np.array([*_clamp_to_corridor(hx, hy, scene, scene.body_radius_m), hh]),
-        human_bend=state.human_bend,
+        robot, robot_vel, _clamp_to_corridor(*human, scene, scene.body_radius_m), state.human_bend
     )
 
 
@@ -589,6 +617,21 @@ class CollisionEvent:
 _REACH_SLACK_M = 1e-6
 
 
+class _AgentPairs:
+    """One agent's (agent, obstacle) pairs and the anchor of its clearance skip.
+
+    While the agent is less than ``clear`` from (x, y), none of its pairs is
+    within reach; ``clear_sq`` is clear², and 0.0 when there is no anchor,
+    which no squared distance is below.
+    """
+
+    __slots__ = ("pairs", "x", "y", "clear_sq")
+
+    def __init__(self, pairs: list):
+        self.pairs = pairs
+        self.x = self.y = self.clear_sq = 0.0
+
+
 class CollisionTracker:
     """Entering-transition collision counter with per-obstacle debounce.
 
@@ -604,6 +647,15 @@ class CollisionTracker:
     obstacle id), so a scene that uses an id twice is refused. With
     ``robot_enabled`` False no robot pair is listed, so the robot position
     ``update`` is given goes unread.
+
+    Clearance skip: after a pass over all of an agent's pairs with none
+    within reach, the agent's position is kept with its clearance, the least
+    over its pairs of (distance to the centre − reach) less
+    ``_REACH_SLACK_M``. While the agent stays closer than that to the kept
+    position its pairs are skipped. This is exact: by the triangle
+    inequality no skipped pair is within reach, so no boolean and no event
+    changes, and none of the agent's pairs is in contact. A pass that finds
+    a pair within reach keeps no position.
     """
 
     def __init__(self, scene: Scene, sim: SimParams, robot_enabled: bool = True):
@@ -613,46 +665,74 @@ class CollisionTracker:
         if robot_enabled:
             agents.append(("robot", sim.robot_radius_m, sim.robot_height_m))
 
+        pairs: Dict[str, list] = {agent: [] for agent, _, _ in agents}
         # obstacle order, human before robot: the order events come out in
-        self._pairs = []
+        self._order: Dict[Tuple[str, str], int] = {}
         for ob in scene.obstacles:
             cx, cy = ob.center.tolist()
             for agent, radius, height in agents:
                 if ob.z_min >= height or ob.z_max <= 0.0:
                     continue  # the z test of overlaps_vertical_cylinder: never over
                 reach_sq = (ob.circumradius + radius + _REACH_SLACK_M) ** 2
-                self._pairs.append(((agent, ob.obstacle_id), agent == "robot", ob, cx, cy, reach_sq, radius))
+                key = (agent, ob.obstacle_id)
+                self._order[key] = len(self._order)
+                pairs[agent].append((key, ob, cx, cy, reach_sq, math.sqrt(reach_sq), radius))
+        self._human = _AgentPairs(pairs["human"])
+        self._robot = _AgentPairs(pairs.get("robot", []))
         self._touching: set = set()  # (agent, obstacle_id) keys in contact
         self._last_event: Dict[Tuple[str, str], float] = {}
 
     def in_contact(self, agent: str = "human") -> bool:
         return any(key[0] == agent for key in self._touching)
 
-    def update(self, now: float, human_xy: np.ndarray, robot_xy: np.ndarray) -> List[CollisionEvent]:
+    def update(self, now: float, human_xy, robot_xy) -> List[CollisionEvent]:
+        """Events of the agents at these positions; each is (x, y) or a pose, read for its first two entries."""
         events: List[CollisionEvent] = []
-        hx, hy = human_xy.tolist()
-        rx, ry = robot_xy.tolist()
-        for key, is_robot, ob, cx, cy, reach_sq, radius in self._pairs:
-            if is_robot:
-                xy, x, y = robot_xy, rx, ry
-            else:
-                xy, x, y = human_xy, hx, hy
-            dx, dy = x - cx, y - cy
-            if dx * dx + dy * dy <= reach_sq and ob.footprint_distance(xy) <= radius:
-                if key not in self._touching:
-                    self._touching.add(key)
-                    last = self._last_event.get(key)
-                    if last is None or now - last >= self.sim.collision_debounce_s:
-                        events.append(CollisionEvent(now, key[0], ob.obstacle_id, ob.kind))
-                        self._last_event[key] = now
-            else:
-                self._touching.discard(key)
+        agent = self._human
+        x, y = human_xy[0], human_xy[1]
+        dx, dy = x - agent.x, y - agent.y
+        if not dx * dx + dy * dy < agent.clear_sq:
+            self._pass(agent, x, y, now, events)
+        agent = self._robot
+        x, y = robot_xy[0], robot_xy[1]
+        dx, dy = x - agent.x, y - agent.y
+        if not dx * dx + dy * dy < agent.clear_sq:
+            n = len(events)
+            self._pass(agent, x, y, now, events)
+            if 0 < n < len(events):  # both agents met something: obstacle order, human first
+                events.sort(key=lambda ev: self._order[ev.agent, ev.obstacle_id])
         return events
+
+    def _pass(self, agent: _AgentPairs, x: float, y: float, now: float, events: List[CollisionEvent]) -> None:
+        """Test all of the agent's pairs at (x, y), then anchor its clearance skip there or drop it."""
+        touching = self._touching
+        clear = math.inf
+        for key, ob, cx, cy, reach_sq, reach, radius in agent.pairs:
+            dx, dy = x - cx, y - cy
+            d2 = dx * dx + dy * dy
+            if d2 <= reach_sq:
+                clear = 0.0  # within reach: no anchor, and no later gap is below 0
+                if ob.footprint_distance((x, y)) <= radius:
+                    if key not in touching:
+                        touching.add(key)
+                        last = self._last_event.get(key)
+                        if last is None or now - last >= self.sim.collision_debounce_s:
+                            events.append(CollisionEvent(now, key[0], ob.obstacle_id, ob.kind))
+                            self._last_event[key] = now
+                    continue
+            else:
+                gap = math.sqrt(d2) - reach
+                if gap < clear:
+                    clear = gap
+            touching.discard(key)
+        clear -= _REACH_SLACK_M
+        agent.x, agent.y = x, y
+        agent.clear_sq = clear * clear if clear > 0.0 else 0.0
 
 
 def detect_collisions(state: WorldState, now: float, tracker: CollisionTracker) -> List[CollisionEvent]:
     """Entering-transition events at ``state``, which is at time ``now`` (tracker holds history)."""
-    return tracker.update(now, state.human_pose[:2], state.robot_pose[:2])
+    return tracker.update(now, state.human_pose, state.robot_pose)
 
 
 # ---------------------------------------------------------------------------
@@ -811,19 +891,16 @@ class _Episode:
         except ValueError as exc:
             raise ConfigError(f"jittered scene invalid: {exc}") from exc
 
-        start = self.scene.start_robot
-        heading = float(start[2])
-        human_xy = start[:2] - self.scene.leash_length_m * np.array(
-            [math.cos(heading), math.sin(heading)]
-        )
+        x, y, heading = self.scene.start_robot.tolist()
+        leash = self.scene.leash_length_m
         # the unassisted walker moves the person and leaves the robot parked
         self.drive_human = condition is Condition.UNASSISTED
         init_source = CommandSource.WALKER if self.drive_human else CommandSource.APF
         self.executed = VelocityCommand.zero(0.0, init_source)
         self.state = WorldState(
-            robot_pose=start.copy(),
+            robot_pose=(x, y, heading),
             robot_vel=self.executed,
-            human_pose=np.array([human_xy[0], human_xy[1], heading]),
+            human_pose=(x - leash * math.cos(heading), y - leash * math.sin(heading), heading),
             human_bend=self._bend_at(0.0),
         )
 
@@ -996,7 +1073,7 @@ class _Episode:
             else:
                 events.append(f"robot_contact:{ev.obstacle_id}")
 
-        x, y, _ = (self.state.human_pose if self.drive_human else self.state.robot_pose).tolist()
+        x, y, _ = self.state.human_pose if self.drive_human else self.state.robot_pose
         tolerance = sim.goal_tolerance_m
         if _hypot_vs(self.goal_x - x, self.goal_y - y, tolerance) <= tolerance:
             self.status = TerminationStatus.GOAL
@@ -1039,9 +1116,8 @@ class _Episode:
         self.executed_norm = command_norm(cmd, self.config.arbiter.char_length)
 
     def _format_row(self, events: Sequence[str]) -> str:
-        st = self.state
-        rx, ry, rth = st.robot_pose.tolist()
-        hx, hy, _ = st.human_pose.tolist()
+        rx, ry, rth = self.state.robot_pose
+        hx, hy, _ = self.state.human_pose
         return _ROW % (self.time, rx, ry, rth, hx, hy, self.command_columns, "|".join(events))
 
     def _finish(self) -> EpisodeReport:

@@ -125,9 +125,12 @@ class Scene:
 
     def validate(self, robot_clearance_m: float) -> None:
         """Enforce scene invariants; raises ValueError naming the offender."""
-        for name in ("body_radius_m", "head_height_m", "chest_height_m"):
-            if not getattr(self, name) > 0:  # NaN too
+        for name in ("leash_length_m", "body_radius_m", "head_height_m", "chest_height_m"):
+            value = getattr(self, name)
+            if not value > 0:  # NaN too
                 raise ValueError(f"{name} must be positive")
+            if value == math.inf:
+                raise ValueError(f"{name} must be finite")
         lo, hi = self.corridor_min, self.corridor_max
         if np.any(lo >= hi):
             raise ValueError("corridor bounds are empty")

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import types
@@ -107,9 +108,9 @@ def config_of(scene, name="mini", **kw):
 
 def world_state(robot=(0.0, 0.0, 0.0), human=(-1.0, 0.0, 0.0)):
     return WorldState(
-        robot_pose=np.array(robot, dtype=float),
+        robot_pose=tuple(map(float, robot)),
         robot_vel=VelocityCommand.zero(0.0, CommandSource.APF),
-        human_pose=np.array(human, dtype=float),
+        human_pose=tuple(map(float, human)),
         human_bend=BendPose.UPRIGHT,
     )
 
@@ -236,10 +237,11 @@ class TestDriveHuman:
 
 
 class TestScalarPhysicsIsExact:
-    """``step`` and ``human_follower`` on floats give the bytes of the array code.
+    """``step`` and ``human_follower`` on float triples give the bytes of the array code.
 
     The reference is the array code itself, kept verbatim in
-    ``tests/parent_physics.py``. The random states put poses on and beyond
+    ``tests/parent_physics.py``, run on the same state with its poses
+    converted by ``np.array``. The random states put poses on and beyond
     every corridor wall (the human's margin is its body radius, the
     robot's 0), signed zeros on walls at zero, headings within 1e-12 of
     +-pi, leash distances below 1e-9, and both values of ``drive_human``.
@@ -320,9 +322,9 @@ class TestScalarPhysicsIsExact:
         if r.random() < 0.03:
             (robot if r.random() < 0.5 else human)[r.randrange(3)] = r.choice((math.nan, -math.nan))
         state = WorldState(
-            robot_pose=np.array(robot),
+            robot_pose=tuple(robot),
             robot_vel=cmd(),
-            human_pose=np.array(human),
+            human_pose=tuple(human),
             human_bend=BendPose.UPRIGHT,
         )
         components = [self.component(r, 1.5), self.component(r, 0.6), self.component(r, 3.0)]
@@ -346,6 +348,11 @@ class TestScalarPhysicsIsExact:
         nan = np.isnan(new)
         return np.array_equal(nan, np.isnan(old)) and new[~nan].tobytes() == old[~nan].tobytes()
 
+    @staticmethod
+    def as_arrays(state):
+        """The state with its poses as the float64 arrays the reference takes."""
+        return dataclasses.replace(state, robot_pose=np.array(state.robot_pose), human_pose=np.array(state.human_pose))
+
     def test_step_and_follower_match_the_array_code_bytewise(self):
         r = random.Random(20261019)
         seen = dict.fromkeys(
@@ -353,25 +360,25 @@ class TestScalarPhysicsIsExact:
         )
         for i in range(self.CASES):
             state, v_cmd, dt, scene, follower, drive_human = self.random_case(r)
-            args = (state, v_cmd, dt, scene, follower, drive_human)
-            got, want = step(*args), parent_physics.step(*args)
+            args = (v_cmd, dt, scene, follower, drive_human)
+            got, want = step(state, *args), parent_physics.step(self.as_arrays(state), *args)
             for name in ("robot_pose", "human_pose"):
                 new, old = getattr(got, name), getattr(want, name)
-                assert new.dtype == np.float64 and new.shape == (3,), (i, name)
-                assert self.same_bits(new, old), (i, name, args, new, old)
-                assert new is not getattr(state, name)
+                # immutable, so no later write can reach the input state through it
+                assert type(new) is tuple and len(new) == 3 and all(isinstance(v, float) for v in new), (i, name)
+                assert self.same_bits(np.array(new), old), (i, name, state, args, new, old)
             assert got.robot_vel is want.robot_vel and got.human_bend is want.human_bend
             if not drive_human:
                 params = follower or FollowerParams(scene.leash_length_m, 2.0, 1.5)
                 new = np.array(human_follower(state, params, dt))
-                assert self.same_bits(new, parent_physics.human_follower(state, params, dt)), i
+                assert self.same_bits(new, parent_physics.human_follower(self.as_arrays(state), params, dt)), i
             seen["drive_human" if drive_human else "follow"] += 1
             walls = set(scene.corridor_min.tolist() + scene.corridor_max.tolist())
             walls |= {w + s * scene.body_radius_m for w in walls for s in (1, -1)}
-            on_walls = [v for v in got.robot_pose[:2].tolist() + got.human_pose[:2].tolist() if v in walls]
+            on_walls = [v for v in got.robot_pose[:2] + got.human_pose[:2] if v in walls]
             seen["walls"] += bool(on_walls)
             seen["signed_zero_walls"] += any(v == 0.0 for v in on_walls)
-            gap = state.robot_pose[:2] - state.human_pose[:2]
+            gap = np.subtract(state.robot_pose[:2], state.human_pose[:2])
             seen["short_leash"] += (not drive_human) and float(np.hypot(gap[0], gap[1])) < 1e-9
             seen["near_pi"] += any(abs(abs(p[2]) - math.pi) <= 1e-12 for p in (state.robot_pose, state.human_pose))
             seen["non_finite"] += not np.isfinite([v_cmd.v_x, v_cmd.v_y, v_cmd.w_z]).all() or not (
@@ -916,6 +923,77 @@ class TestCollisionBroadPhase:
         assert exact_boundary > 100
         assert events > 500
 
+    @staticmethod
+    def small_steps(rng, start, end):
+        """Points from ``start`` towards ``end``, 0.005-0.05 m apart, the last exactly ``end``."""
+        start, end = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
+        gap = float(np.hypot(*(end - start)))
+        points, done = [], float(rng.uniform(0.005, 0.05))
+        while done < gap:
+            points.append(start + (end - start) * (done / gap))
+            done += float(rng.uniform(0.005, 0.05))
+        return points + [end]
+
+    def path(self, rng, pos, probes):
+        """The next stretch of an agent's positions from ``pos``.
+
+        Either a random walk of 0.005-0.05 m steps, or an approach in such
+        steps to a boundary probe, a pause on it and a retreat the same way.
+        """
+        if rng.random() < 0.6:
+            points = []
+            for _ in range(int(rng.integers(10, 80))):
+                angle, size = rng.uniform(-math.pi, math.pi), rng.uniform(0.005, 0.05)
+                pos = np.clip(pos + size * np.array([math.cos(angle), math.sin(angle)]), (-3.0, -2.0), (3.0, 2.0))
+                points.append(pos)
+            return points
+        probe = probes[int(rng.integers(len(probes)))]
+        there = self.small_steps(rng, pos, probe)
+        return there + [probe] * int(rng.integers(0, 4)) + self.small_steps(rng, probe, pos)
+
+    def test_the_clearance_skip_matches_the_scalar_tracker_on_small_steps(self):
+        """The skip fires on most ticks, yet every event and contact flag is the reference's."""
+        rng = np.random.default_rng(20261020)
+        agent_ticks = passes = events = probe_ticks = 0
+        for _ in range(self.SCENES):
+            scene, sim_params = self.random_scene(rng)
+            robot_enabled = rng.random() < 0.8
+            tracker = CollisionTracker(scene, sim_params, robot_enabled)
+            reference = _ScalarTracker(scene, sim_params, robot_enabled)
+            full_pass = tracker._pass
+
+            def counted(agent, *args, full_pass=full_pass):
+                nonlocal passes
+                passes += bool(agent.pairs)
+                full_pass(agent, *args)
+
+            tracker._pass = counted
+            with_pairs = sum(bool(agent.pairs) for agent in (tracker._human, tracker._robot))
+            probes = {
+                name: [p for ob in scene.obstacles for p in self.probes(ob, r)]
+                for name, r in (("human", scene.body_radius_m), ("robot", sim_params.robot_radius_m))
+            }
+            pos = {"human": np.array([-2.5, 0.0]), "robot": np.array([-2.0, 0.0])}
+            ahead = {"human": [], "robot": []}
+            now = 0.0
+            for _ in range(4 * self.TICKS):
+                now += 0.02 if rng.random() < 0.95 else 1.1
+                for name in pos:
+                    if not ahead[name]:
+                        ahead[name] = self.path(rng, pos[name], probes[name])[::-1]
+                    pos[name] = ahead[name].pop()
+                    probe_ticks += any(pos[name] is p for p in probes[name])
+                got = tracker.update(now, pos["human"], pos["robot"])
+                want = reference.update(now, pos["human"], pos["robot"])
+                assert [dataclasses.astuple(ev) for ev in got] == [dataclasses.astuple(ev) for ev in want]
+                for agent in ("human", "robot"):
+                    assert tracker.in_contact(agent) == reference.in_contact(agent)
+                events += len(want)
+                agent_ticks += with_pairs
+        # the skip fired on most ticks, and contacts and boundary probes did happen
+        assert passes < 0.5 * agent_ticks, (passes, agent_ticks)
+        assert events > 200 and probe_ticks > 500, (events, probe_ticks)
+
     def test_a_repeated_obstacle_id_is_refused(self):
         # height-disjoint twins: the second is out of the robot's reach, the first out of the head's
         scene = scene_of(
@@ -1107,9 +1185,68 @@ class TestConfigValidation:
             with pytest.raises(ConfigError):
                 PerceptionSpec(**kw)
 
+    # (class, the error it raises, the prefix of its messages, field)
+    CONFIG_FIELDS = [
+        (cls, error, prefix, f.name)
+        for cls, error, prefix in (
+            (PerceptionSpec, ConfigError, "perception."),
+            (ApfParams, ValueError, "ApfParams."),
+            (HumanSafetyParams, ValueError, ""),
+            (ArbiterConfig, ValueError, ""),
+            (SentinelConfig, ValueError, ""),
+        )
+        for f in dataclasses.fields(cls)
+        if f.name != "roi"  # a pixel region, checked by RoiSpec
+    ]
+
+    @pytest.mark.parametrize(
+        "cls, error, prefix, name", CONFIG_FIELDS, ids=[f"{c[0].__name__}.{c[3]}" for c in CONFIG_FIELDS]
+    )
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_config_classes_refuse_non_finite_values(self, cls, error, prefix, name, value):
+        # each constructed: an infinite inflation radius or staleness timeout,
+        # a NaN costmap resolution
+        arg = (value, 0.0) if name == "origin_xy" else value
+        with pytest.raises(error, match=f"^{re.escape(prefix + name)} must be finite$"):
+            cls(**{name: arg})
+
+    @pytest.mark.parametrize("name", ["leash_length_m", "body_radius_m", "head_height_m", "chest_height_m"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -1.0])
+    def test_scene_body_and_leash_sizes_must_be_positive_and_finite(self, name, value):
+        rule = "finite" if value == math.inf else "positive"
+        with pytest.raises(ConfigError, match=f"^scene: {name} must be {rule}$"):
+            config_of(dataclasses.replace(MINI, **{name: value})).validate()
+
+    @pytest.mark.parametrize("condition", [Condition.UNASSISTED, Condition.SINGLE_VIEW])
+    def test_a_nan_leash_is_refused_before_the_episode_runs(self, tmp_path, condition):
+        # it ran a whole episode with a person at (nan, nan), who never collided
+        with pytest.raises(ConfigError, match="leash_length_m must be positive"):
+            run_episode(config_of(dataclasses.replace(MINI, leash_length_m=math.nan)), condition, 0, tmp_path)
+        assert not any(tmp_path.iterdir())
+
 
 MINI = scene_of([box((1.8, 0.15), (0.2, 0.2), oid="bin")])
 LAMP_MINI = scene_of([cyl((2.0, 0.0), 0.25, (1.6, 1.8), oid="lamp")], goal=(4.0, 0.0))
+
+
+class TestPosesAreFloatTriples:
+    @pytest.mark.parametrize("condition", list(Condition))
+    def test_every_row_of_an_episode_reads_poses_of_three_python_floats(self, tmp_path, monkeypatch, condition):
+        # a numpy scalar in a pose would keep the trace bytes, but slow the
+        # float arithmetic of every tick after it
+        format_row = _Episode._format_row
+        poses = []
+
+        def checked(episode, events):
+            poses.extend((episode.state.robot_pose, episode.state.human_pose))
+            return format_row(episode, events)
+
+        monkeypatch.setattr(_Episode, "_format_row", checked)
+        lamp_and_bin = scene_of([*LAMP_MINI.obstacles, *MINI.obstacles], goal=(4.0, 0.0))
+        run_episode(config_of(lamp_and_bin), condition, 0, tmp_path)
+        assert len(poses) > 200
+        for pose in poses:
+            assert type(pose) is tuple and [type(v) for v in pose] == [float] * 3, pose
 
 
 class TestFormatRow:
