@@ -646,7 +646,7 @@ class CollisionTracker:
     ``Obstacle.overlaps_vertical_cylinder``. Contact is kept per (agent,
     obstacle id), so a scene that uses an id twice is refused. With
     ``robot_enabled`` False no robot pair is listed, so the robot position
-    ``update`` is given goes unread.
+    ``update`` is given meets no obstacle.
 
     Clearance skip: after a pass over all of an agent's pairs with none
     within reach, the agent's position is kept with its clearance, the least
