@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from crossnav.harness import load_scenario, read_trace, render_trace_svg, render_trace_text
+from crossnav.harness import load_scenario, read_trace
 from crossnav.sim import Condition, run_episode
+from crossnav.trace_plots import render_trace_svg, render_trace_text
 
 OUT = Path(__file__).resolve().parent / "demo_out"
 

@@ -33,8 +33,6 @@ from .harness import (
     load_scenario,
     parse_seed_range,
     read_trace,
-    render_trace_svg,
-    render_trace_text,
     run_sweep,
     summarize,
 )
@@ -92,6 +90,7 @@ from .sim import (
     run_episode,
     step,
 )
+from .trace_plots import render_trace_svg, render_trace_text
 from .world import (
     CameraIntrinsics,
     DepthImage,

@@ -17,12 +17,11 @@ from .harness import (
     load_scenario,
     parse_seed_range,
     read_trace,
-    render_trace_svg,
-    render_trace_text,
     run_sweep,
     summarize,
 )
 from .sim import Condition, ConfigError, run_episode
+from .trace_plots import render_trace_svg, render_trace_text
 
 _CONDITION_NAMES = [c.value for c in Condition]
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -73,22 +74,35 @@ def build_costmap(
     resolution: float,
     width: int,
     height: int,
+    extra_xy: Optional[np.ndarray] = None,
 ) -> Costmap2D:
     """Project points onto the XY plane and mark their cells Occupied.
 
-    Points outside the grid bounds are ignored.
+    ``extra_xy`` is an (N, 2) array of further points in the cloud's frame
+    (the planner's memory of recent cells), marked the same way without
+    being merged into the cloud: marking is order-free, so the map is that
+    of one cloud holding both. Points outside the grid bounds are ignored.
+    Each axis is worked as a column on its own, with the arithmetic of
+    ``floor((xy - origin) / resolution)``.
     """
     if resolution <= 0 or width == 0 or height == 0:
         raise InvalidGrid(
             f"invalid grid spec: resolution={resolution}, width={width}, height={height}"
         )
     origin = np.asarray(origin, dtype=np.float64).reshape(2)
+    ox, oy = origin.tolist()
     cells = np.zeros((width, height), dtype=np.uint8)
-    if len(cloud) > 0:
-        idx = np.floor((cloud.points[:, :2] - origin) / resolution).astype(np.int64)
-        inside = (idx[:, 0] >= 0) & (idx[:, 0] < width) & (idx[:, 1] >= 0) & (idx[:, 1] < height)
-        idx = idx[inside]
-        cells[idx[:, 0], idx[:, 1]] = OCCUPIED
+    flat = cells.reshape(-1)
+    for xy in (cloud.points, extra_xy):
+        if xy is None or xy.shape[0] == 0:
+            continue
+        ix = np.floor((xy[:, 0] - ox) / resolution).astype(np.int64)
+        iy = np.floor((xy[:, 1] - oy) / resolution).astype(np.int64)
+        inside = ix.view(np.uint64) < width  # a negative index wraps above any width
+        inside &= iy.view(np.uint64) < height
+        ix *= height
+        ix += iy
+        flat[ix[inside]] = OCCUPIED
     return Costmap2D(origin, resolution, cells)
 
 

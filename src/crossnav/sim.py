@@ -128,7 +128,11 @@ class FollowerParams:
 
 @dataclass(frozen=True)
 class SensorRig:
-    """Camera intrinsics and mounting for both viewpoints."""
+    """Camera intrinsics and mounting for both viewpoints.
+
+    The intrinsics check themselves; the mounting numbers must be finite,
+    or the first tick that poses a camera would fail inside the episode.
+    """
 
     robot_intrinsics: CameraIntrinsics
     chest_intrinsics: CameraIntrinsics
@@ -141,6 +145,9 @@ class SensorRig:
         object.__setattr__(
             self, "robot_mount_xyz", np.asarray(self.robot_mount_xyz, dtype=np.float64).reshape(3)
         )
+        for name in ("robot_mount_xyz", "robot_mount_pitch_rad", "chest_forward_m", "bend_pitch_rad"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"rig.{name} must be finite")
 
 
 def default_rig(
@@ -179,6 +186,10 @@ class PerceptionSpec:
         for f in fields(self):
             if not np.isfinite(getattr(self, f.name)).all():
                 raise ConfigError(f"perception.{f.name} must be finite")
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"perception.{name} must be an integer")
         if self.resolution_m <= 0:
             raise ConfigError("perception.resolution_m must be positive")
         if self.width <= 0 or self.height <= 0:
@@ -502,11 +513,7 @@ def robot_branch_observation(
         img = apply_depth_noise(img, depth_sigma, rng)
     cloud = transform_points(_robot_mount(rig), deproject(img))
     band = passthrough_filter(cloud, spec.z_band_low_m, spec.z_band_high_m)
-    merged = band
-    if extra_xy is not None and extra_xy.shape[0] > 0:
-        pad = np.column_stack([extra_xy, np.zeros(extra_xy.shape[0])])
-        merged = PointCloud(np.vstack([band.points, pad]) if len(band) else pad, FrameId.ROBOT_BASE)
-    grid = build_costmap(merged, spec.origin_xy, spec.resolution_m, spec.width, spec.height)
+    grid = build_costmap(band, spec.origin_xy, spec.resolution_m, spec.width, spec.height, extra_xy)
     return img, band, inflate(grid, spec.r_inf_m)
 
 
@@ -543,7 +550,9 @@ def chest_camera_in_hazard_box(rig: SensorRig, chest_height_m: float, safety: Hu
     return 0.0 < rig.chest_forward_m <= reach and safety.z_low <= chest_height_m <= safety.z_high
 
 
-def corridor_scene(scene: Scene, human_pose: np.ndarray, safety: HumanSafetyParams) -> Scene:
+def corridor_scene(
+    scene: Scene, human_pose: np.ndarray, safety: HumanSafetyParams, previous: Optional[Scene] = None
+) -> Scene:
     """The scene without the obstacles that cannot touch the chest branch's hazard box.
 
     In the human body frame the box is x in (0, D], |y| <= corridor_half_width
@@ -557,7 +566,8 @@ def corridor_scene(scene: Scene, human_pose: np.ndarray, safety: HumanSafetyPara
     segment from the camera to it, which the convex box contains, so it is
     kept. The box points of a noise-free cloud are then bitwise the same, in
     the same order, and ``detect_hazard`` returns the same point. Returns
-    ``scene`` itself when every obstacle is kept.
+    ``scene`` itself when every obstacle is kept, and ``previous`` (an
+    earlier result) when it holds the very obstacles kept.
     """
     half_reach = 0.5 * (safety.d_safe + safety.release_hysteresis)
     x, y, heading = human_pose
@@ -570,7 +580,13 @@ def corridor_scene(scene: Scene, human_pose: np.ndarray, safety: HumanSafetyPara
         and ob.z_min <= safety.z_high + _CULL_SLACK_M
         and ob.footprint_distance(centre) <= radius
     )
-    return scene if len(kept) == len(scene.obstacles) else replace(scene, obstacles=kept)
+    if len(kept) == len(scene.obstacles):
+        return scene
+    if previous is not None and len(previous.obstacles) == len(kept) and all(
+        a is b for a, b in zip(previous.obstacles, kept)
+    ):
+        return previous
+    return replace(scene, obstacles=kept)
 
 
 def frustum_summary(scene: Scene, robot_pose: np.ndarray, rig: SensorRig) -> List[ObstacleSighting]:
@@ -835,8 +851,16 @@ def unique_cells(cells: np.ndarray) -> np.ndarray:
     Each row packs into one int64 key, ``(ix << 32) + (iy + 2**31)``, which
     is monotone in (ix, iy) while both fit in an int32, so the sorted keys
     unpack to the same rows in the same order, far faster than a row sort.
+    The keys are sorted and a key kept where it differs from the one before
+    it, which is what ``np.unique`` returns; ``np.unique`` itself takes a
+    hash path on int64 keys in numpy 2.x that costs several times the sort
+    on the few hundred keys of a frame.
     """
-    keys = np.unique((cells[:, 0] << 32) + (cells[:, 1] + 2**31))
+    keys = np.sort((cells[:, 0] << 32) + (cells[:, 1] + 2**31))
+    first = np.empty(keys.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
     return np.column_stack([keys >> 32, (keys & 0xFFFFFFFF) - 2**31])
 
 
@@ -920,6 +944,7 @@ class _Episode:
         self.cull_chest_scene = config.sim.depth_sigma_m == 0 and chest_camera_in_hazard_box(
             config.rig, self.scene.chest_height_m, config.safety
         )
+        self.chest_scene: Optional[Scene] = None  # the last culled chest scene
 
         # each branch's newest command, None before its first
         self.apf_cmd: Optional[VelocityCommand] = None
@@ -981,10 +1006,9 @@ class _Episode:
             self.cloud_memory = [item for item in self.cloud_memory if item[0] > now]
             if self.cloud_memory:
                 world = np.vstack([pts for _, pts in self.cloud_memory])
-                rel = world - (x, y)
-                extra = np.column_stack(
-                    [c * rel[:, 0] + s * rel[:, 1], -s * rel[:, 0] + c * rel[:, 1]]
-                )
+                # column by column: numpy's broadcast over rows of two is slow
+                rx, ry = world[:, 0] - x, world[:, 1] - y
+                extra = np.column_stack([c * rx + s * ry, -s * rx + c * ry])
         img, band, costmap = robot_branch_observation(
             self.scene,
             self.state.robot_pose,
@@ -1027,7 +1051,9 @@ class _Episode:
         cfg = self.config
         scene = self.scene
         if self.cull_chest_scene:
-            scene = corridor_scene(scene, self.state.human_pose, cfg.safety)
+            scene = self.chest_scene = corridor_scene(
+                scene, self.state.human_pose, cfg.safety, self.chest_scene
+            )
         _, cloud = chest_observation(
             scene,
             self.state.human_pose,

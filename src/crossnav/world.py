@@ -15,6 +15,16 @@ cost follows the cast pixels, not the image. The image carries that union box
 as its return box (``DepthImage.box``), and ``deproject`` scans only the box.
 A frame that casts nothing has the empty box and shares one read-only all-NaN
 depth array with every such frame of its camera.
+
+A frame does only per-frame work. Each obstacle computes its bounds and
+bounding sphere once, on first use. Before its window is sought, an obstacle
+whose sphere lies wholly past one of five planes through the camera centre
+is skipped: the camera plane and the planes of columns -2 and W + 1 and rows
+-2 and H + 1, past which the window would be None anyway. Each world ray
+component is built at the shape it varies over, one row, one column or the
+whole window; on a camera with no pitch x and y vary by column and z by row.
+A term is left out only when its coefficient is 0.0 and the constant is
+nonzero or +0.0, so that every ray keeps the bits of the full sum.
 """
 
 from __future__ import annotations
@@ -83,6 +93,23 @@ class Obstacle:
         outside = np.hypot(max(q[0], 0.0), max(q[1], 0.0))
         inside = min(max(q[0], q[1]), 0.0)
         return float(outside + inside)
+
+    @functools.cached_property
+    def bounds(self) -> Tuple[Tuple[float, float, float], Tuple[float, float, float]]:
+        """World-frame axis-aligned bounds (lo, hi), each three Python floats, computed once per obstacle."""
+        cx, cy = self.center.tolist()
+        hx, hy = self.half_extents.tolist() if self.shape is ObstacleShape.BOX else (self.radius, self.radius)
+        z0, z1 = float(self.z_min), float(self.z_max)
+        return (cx - hx, cy - hy, z0), (cx + hx, cy + hy, z1)
+
+    @functools.cached_property
+    def bounding_sphere(self) -> Tuple[Tuple[float, float, float], float]:
+        """(centre, radius) of the sphere through the corners of ``bounds``, as Python floats."""
+        lo, hi = self.bounds
+        return (
+            tuple(0.5 * (l + h) for l, h in zip(lo, hi)),
+            0.5 * math.sqrt(sum((h - l) ** 2 for l, h in zip(lo, hi))),
+        )
 
     @property
     def circumradius(self) -> float:
@@ -252,9 +279,11 @@ def _no_returns(intr: CameraIntrinsics) -> np.ndarray:
 def _raycast_box(origin, dx, dy, dz, lo, hi, best) -> np.ndarray:
     """Lower ``best`` to the nearest positive hit parameter of each ray (dx, dy, dz) against box [lo, hi].
 
-    ``best`` (inf: no hit yet) is updated in place and returned. Rays with a
-    zero direction component that start on a slab face are treated as inside
-    that slab (fmin/fmax drop the resulting NaNs).
+    ``best`` (inf: no hit yet) is updated in place and returned. The
+    components broadcast to its shape: one that varies only by column or by
+    row may come as a row or a column, and its slab is then worked at that
+    shape. Rays with a zero direction component that start on a slab face
+    are treated as inside that slab (fmin/fmax drop the resulting NaNs).
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         # slab by slab: near = fmax of the entries, far = fmin of the exits
@@ -262,11 +291,12 @@ def _raycast_box(origin, dx, dy, dz, lo, hi, best) -> np.ndarray:
             t2 = np.divide(1.0, d)  # +-inf on zero components
             t1 = (low - o) * t2
             t2 *= high - o
+            entry, exit_ = np.fmin(t1, t2), np.fmax(t1, t2, out=t1)
             if axis == 0:
-                near, far = np.fmin(t1, t2), np.fmax(t1, t2, out=t1)
-            else:
-                np.fmax(near, np.fmin(t1, t2), out=near)
-                np.fmin(far, np.fmax(t1, t2, out=t1), out=far)
+                near, far = entry, exit_
+            else:  # in place only where the slabs have one shape
+                near = np.fmax(near, entry, out=near if near.shape == entry.shape else None)
+                far = np.fmin(far, exit_, out=far if far.shape == exit_.shape else None)
         valid = far >= near
         valid &= far > _EPS
         # the entry where it lies ahead, else the exit (the origin is inside)
@@ -279,26 +309,27 @@ def _raycast_cylinder(origin, dx, dy, dz, center, r, z1, z2, best) -> np.ndarray
     """Lower ``best`` to the nearest positive hit of each ray (dx, dy, dz) against one vertical cylinder.
 
     Sides and caps; ``best`` (inf: no hit yet) is updated in place and
-    returned. A hit parameter that is NaN or not above _EPS fails its test,
-    so rays parallel to the axis (no side hit) and to the caps (an infinite
-    cap parameter leaves the radius test NaN or inf) need no mask of their own.
+    returned. The components broadcast to its shape, as for
+    ``_raycast_box``: the side roots are worked at the shape of (dx, dy) and
+    the cap parameters at that of dz. A hit parameter that is NaN or not
+    above _EPS fails its test, so rays parallel to the axis (no side hit)
+    and to the caps (an infinite cap parameter leaves the radius test NaN or
+    inf) need no mask of their own.
     """
     ox, oy, oz = origin
     cx0, cy0 = center
     px, py = ox - cx0, oy - cy0
-    a = dx * dx
-    a += dy * dy
+    a = dx * dx + dy * dy
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_a = np.divide(1.0, a, out=np.zeros_like(a), where=a > _EPS)  # 0: t is 0 or NaN
-        half_b = px * dx
-        half_b += py * dy
+        half_b = px * dx + py * dy
         disc = half_b * half_b
         disc -= a * (px * px + py * py - r * r)  # the scalar is per-cylinder
         sq = np.sqrt(disc, out=disc)  # NaN where the ray misses the circle
         t = np.add(sq, half_b)
         np.negative(t, out=t)  # the near root, -(sq + half_b) / a
-        z = np.empty_like(t)
-        valid = np.empty(t.shape, dtype=bool)
+        z = np.empty(best.shape)
+        valid = np.empty(best.shape, dtype=bool)
         for root in range(2):
             if root:
                 np.subtract(sq, half_b, out=t)  # the far root
@@ -311,9 +342,9 @@ def _raycast_cylinder(origin, dx, dy, dz, center, r, z1, z2, best) -> np.ndarray
             np.minimum(best, t, out=best, where=valid)
         # caps
         inv_dz = np.divide(1.0, dz)  # +-inf on rays parallel to the caps
-        hx, hy = z, np.empty_like(t)
+        hx, hy = z, np.empty(best.shape)
         for z_cap in (z1, z2):
-            np.multiply(inv_dz, z_cap - oz, out=t)
+            t = inv_dz * (z_cap - oz)
             np.multiply(t, dx, out=hx)
             hx += ox
             hx -= cx0
@@ -329,12 +360,23 @@ def _raycast_cylinder(origin, dx, dy, dz, center, r, z1, z2, best) -> np.ndarray
     return best
 
 
-def _bounds(ob: Obstacle):
-    """World-frame axis-aligned bounds (lo, hi) of an obstacle, each three Python floats."""
-    cx, cy = ob.center.tolist()
-    hx, hy = ob.half_extents.tolist() if ob.shape is ObstacleShape.BOX else (ob.radius, ob.radius)
-    z0, z1 = float(ob.z_min), float(ob.z_max)
-    return (cx - hx, cy - hy, z0), (cx + hx, cy + hy, z1)
+def _ray_component(a: float, b: float, k: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """a * xs + b * ys + k at the shape it varies over: one row, one column, or both.
+
+    ``xs`` holds a window's optical x per column (1-D) and ``ys`` its optical
+    y per row (a column), so the sum is the world component (a, b, k) of the
+    window's rays. A term whose coefficient is 0.0 of either sign is a zero,
+    and adding a zero changes no bit of a sum, except that a zero sum takes
+    the sign that the constant k then settles, unless k is -0.0. So with k
+    nonzero or +0.0 such a term is dropped, and every element keeps the bits
+    of the full sum.
+    """
+    if k != 0.0 or math.copysign(1.0, k) > 0.0:
+        if b == 0.0:
+            return a * xs + k
+        if a == 0.0:
+            return b * ys + k
+    return a * xs + b * ys + k
 
 
 # a box's 12 edges as corner index pairs: corners 4i + 2j + k differing in one bit
@@ -413,6 +455,68 @@ def _pixel_window(lo, hi, origin, r, intr: CameraIntrinsics):
     return slice(r0, r1 + 1), slice(c0, c1 + 1)
 
 
+# meters by which an obstacle's bounding sphere must clear a plane of the view
+# cone to be culled; far above the rounding of the sphere and of the corners
+# that _pixel_window projects, so the cull only drops windows that are None
+_CONE_SLACK_M = 1e-6
+
+
+def _cone_normals(intr: CameraIntrinsics, u_low: float, u_high: float, v_low: float, v_high: float):
+    """Unit outward normals, in the optical frame, of five planes through the camera centre.
+
+    The camera plane (outward: q_z < 0), then the planes of the pixel
+    columns u_low and u_high and the rows v_low and v_high. The plane of
+    column u holds the optical points with fx q_x + (cx - u) q_z = 0, so in
+    front of the camera its outer side is u < u_low, or u > u_high; rows
+    likewise with fy, cy and q_y.
+    """
+    normals = [(0.0, 0.0, -1.0)]
+    for axis, f, c, low, high in ((0, intr.fx, intr.cx, u_low, u_high), (1, intr.fy, intr.cy, v_low, v_high)):
+        for sign, edge in ((-1.0, low), (1.0, high)):
+            n = [0.0, 0.0, sign * (c - edge)]
+            n[axis] = sign * f
+            norm = math.hypot(n[axis], n[2])
+            normals.append((n[0] / norm, n[1] / norm, n[2] / norm))
+    return tuple(normals)
+
+
+@functools.lru_cache(maxsize=8)
+def _view_cone(intr: CameraIntrinsics):
+    """The planes past which ``_pixel_window`` gives no window: columns -2 and W + 1, rows -2 and H + 1.
+
+    ``_pixel_span`` clips the bounds there and pads them by one pixel, so a
+    span wholly at u <= -2 or u >= W + 1 (and so for v) is empty. A box in
+    front of the camera and wholly past one of these planes projects past
+    it. A box across the camera plane and wholly past it has every section
+    point with the camera plane strictly past it too, so its window is not
+    opened towards the image on that side.
+    """
+    return _cone_normals(intr, -2.0, intr.width + 1.0, -2.0, intr.height + 1.0)
+
+
+def _world_planes(normals, origin, r):
+    """Optical-frame plane normals through the camera, in the world: (n_x, n_y, n_z, n . origin) each."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r
+    ox, oy, oz = origin
+    planes = []
+    for nx, ny, nz in normals:
+        wx = r00 * nx + r01 * ny + r02 * nz
+        wy = r10 * nx + r11 * ny + r12 * nz
+        wz = r20 * nx + r21 * ny + r22 * nz
+        planes.append((wx, wy, wz, wx * ox + wy * oy + wz * oz))
+    return planes
+
+
+def _outside_cone(sphere, planes) -> bool:
+    """Whether a bounding sphere (centre, radius) lies wholly past one of ``planes``, by _CONE_SLACK_M."""
+    (sx, sy, sz), radius = sphere
+    clear = radius + _CONE_SLACK_M
+    for wx, wy, wz, w0 in planes:
+        if wx * sx + wy * sy + wz * sz - w0 > clear:
+            return True
+    return False
+
+
 def render_depth(
     scene: Scene, camera_pose_world: RigidTransform, intr: CameraIntrinsics
 ) -> DepthImage:
@@ -430,6 +534,17 @@ def render_depth(
     any window, and the per-pixel minimum is order-free, so the image is
     bitwise that of casting every pixel against every obstacle.
 
+    Three shortcuts keep that per frame work only. Each obstacle's bounds
+    and bounding sphere are computed once per obstacle (``Obstacle.bounds``,
+    ``Obstacle.bounding_sphere``). An obstacle whose sphere lies wholly past
+    one of the view-cone planes of ``_view_cone`` is skipped before its
+    window is sought, since that window would be None. And each world ray
+    component is built at the shape it varies over (``_ray_component``): on
+    a camera with no pitch, x and y per column and z per row. A term is
+    dropped only when its coefficient is 0.0 and the constant is nonzero or
+    +0.0, so every ray keeps its bits, and the casters take the components
+    broadcast.
+
     Rays, the hit buffer and the range select cover only the union box of
     the cast windows, which is the image's return box. A frame that casts
     nothing gets the empty box (0, 0, 0, 0) and a shared read-only all-NaN
@@ -443,6 +558,7 @@ def render_depth(
         raise ValueError("camera pose must map into the world frame")
     origin = camera_pose_world.translation.tolist()
     r = camera_pose_world.rotation.tolist()
+    planes = _world_planes(_view_cone(intr), origin, r)
 
     # prune obstacles that no ray can reach: a hit at parameter t lies at
     # euclidean distance t * |dir| <= max_range * max|dir| from the origin
@@ -452,7 +568,7 @@ def render_depth(
 
     cast = []  # (obstacle, lo, hi, window)
     for ob in scene.obstacles:
-        lo, hi = _bounds(ob)
+        lo, hi = ob.bounds
         # distance from the origin to the bounding box, which is at most the
         # obstacle's; the 1e-9 m slack against rounding only keeps obstacles
         # whose hits all lie beyond max_range and so come out NaN
@@ -460,7 +576,7 @@ def render_depth(
         for o, l, h in zip(origin, lo, hi):
             g = max(l - o, o - h, 0.0)
             gap += g * g
-        if math.sqrt(gap) > reach + 1e-9:
+        if math.sqrt(gap) > reach + 1e-9 or _outside_cone(ob.bounding_sphere, planes):
             continue
         window = _pixel_window(lo, hi, origin, r, intr)
         if window is not None:
@@ -478,7 +594,7 @@ def render_depth(
     for ob, lo, hi, (rows, cols) in cast:
         # the window's rays, element-wise from its columns and rows
         xs, ys = x[cols], y[rows, None]
-        dx, dy, dz = (r[i][0] * xs + r[i][1] * ys + r[i][2] for i in range(3))
+        dx, dy, dz = (_ray_component(*r[i], xs, ys) for i in range(3))
         best = t_best[rows.start - top:rows.stop - top, cols.start - left:cols.stop - left]
         if ob.shape is ObstacleShape.BOX:
             _raycast_box(origin, dx, dy, dz, lo, hi, best)

@@ -5,15 +5,18 @@ It is the reference of ``tests/test_costmap_oracle.py``. ``inflate``,
 here), ``_repulsive_terms`` and ``_check_rotation`` are kept verbatim, with
 the helpers and constants they read, so that the flat-index scans of
 ``crossnav.perception`` and ``crossnav.planner`` and the float check of
-``crossnav.geometry`` can be compared with them. Nothing else uses them.
+``crossnav.geometry`` can be compared with them. So is ``build_costmap``,
+which took one cloud; ``merged_costmap`` is the robot branch's merge of the
+band and the memory points into that cloud, as it was. Nothing else uses
+them.
 """
 
 import functools
 
 import numpy as np
 
-from crossnav.geometry import InvalidRotation
-from crossnav.perception import FREE, INFLATED, OCCUPIED, Costmap2D
+from crossnav.geometry import FrameId, InvalidRotation, PointCloud
+from crossnav.perception import FREE, INFLATED, OCCUPIED, Costmap2D, InvalidGrid
 
 ORTHONORMALITY_TOL = 1e-9
 _DISK_EDGE_TOL = 1e-9
@@ -96,3 +99,37 @@ def _check_rotation(rotation: np.ndarray) -> np.ndarray:
     if not abs(det - 1.0) <= ORTHONORMALITY_TOL:
         raise InvalidRotation(f"rotation determinant {det!r} != +1")
     return rotation
+
+
+def build_costmap(
+    cloud: PointCloud,
+    origin,
+    resolution: float,
+    width: int,
+    height: int,
+) -> Costmap2D:
+    """Project points onto the XY plane and mark their cells Occupied.
+
+    Points outside the grid bounds are ignored.
+    """
+    if resolution <= 0 or width == 0 or height == 0:
+        raise InvalidGrid(
+            f"invalid grid spec: resolution={resolution}, width={width}, height={height}"
+        )
+    origin = np.asarray(origin, dtype=np.float64).reshape(2)
+    cells = np.zeros((width, height), dtype=np.uint8)
+    if len(cloud) > 0:
+        idx = np.floor((cloud.points[:, :2] - origin) / resolution).astype(np.int64)
+        inside = (idx[:, 0] >= 0) & (idx[:, 0] < width) & (idx[:, 1] >= 0) & (idx[:, 1] < height)
+        idx = idx[inside]
+        cells[idx[:, 0], idx[:, 1]] = OCCUPIED
+    return Costmap2D(origin, resolution, cells)
+
+
+def merged_costmap(band: PointCloud, extra_xy, origin, resolution, width, height) -> Costmap2D:
+    """The uninflated map of ``crossnav.sim.robot_branch_observation``: memory stacked under the band."""
+    merged = band
+    if extra_xy is not None and extra_xy.shape[0] > 0:
+        pad = np.column_stack([extra_xy, np.zeros(extra_xy.shape[0])])
+        merged = PointCloud(np.vstack([band.points, pad]) if len(band) else pad, FrameId.ROBOT_BASE)
+    return build_costmap(merged, origin, resolution, width, height)

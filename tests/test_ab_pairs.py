@@ -60,6 +60,55 @@ def test_the_claim_rule(pairs, lower, gain):
     assert ab_pairs.claim(pairs, lower)[3] is gain
 
 
+@pytest.mark.parametrize(
+    "pairs, lower, verdict",
+    [
+        # medians 2.0 and 2.2 (+10%), quartiles 0.05 apart: inside a 25% bound
+        ([(2.0 + 0.01 * i, 2.2 + 0.01 * i) for i in range(10)], True, "no worse"),
+        # +30%
+        ([(2.0 + 0.01 * i, 2.6 + 0.01 * i) for i in range(10)], True, "worse beyond bound"),
+        # worse beyond the bound however wide the spread
+        ([(2.0 + 0.3 * i, 3.0 + 0.3 * i) for i in range(10)], True, "worse beyond bound"),
+        # +5%, but the parent's quartiles lie 34% of its median apart
+        ([(1.0 + 0.15 * i, 1.05 + 0.15 * i) for i in range(10)], True, "unresolved: spread wider than bound"),
+        # the change's own runs spread wide
+        ([(2.0, 1.0 + 0.3 * i) for i in range(10)], True, "unresolved: spread wider than bound"),
+        # a wide spread, but every run of the change reads better than every run of the parent
+        ([(3.0 + 0.3 * i, 0.5 + 0.2 * i) for i in range(10)], True, "no worse"),
+        # higher is better: -30% is worse, +30% is not
+        ([(200.0, 140.0)] * 10, False, "worse beyond bound"),
+        ([(200.0, 260.0)] * 10, False, "no worse"),
+        # failed runs count on neither side; no run of one side at all settles nothing
+        ([(2.0, 2.1), (None, 2.1), (2.0, None)] * 4, True, "no worse"),
+        ([(2.0, None)] * 3, True, "unresolved: no runs"),
+    ],
+)
+def test_the_verdict_against_the_bound(pairs, lower, verdict):
+    assert ab_pairs.verdict(pairs, lower, 0.25)[0] == verdict
+
+
+def test_every_bounded_end_to_end_metric_gets_a_verdict(monkeypatch, capsys, tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "norm_wall_s", "better": "lower", "bound": 0.25},'
+        ' {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}'
+    )
+
+    def fake(checkout, workload, seed, seconds, trace):
+        rss = 50.0 if checkout.name == "parent" else 60.0
+        run = result(2.0)
+        run["metrics"]["peak_rss_mb"] = {"value": rss}
+        return run
+
+    monkeypatch.setattr(ab_pairs, "run_bench", fake)
+    (tmp_path / "change").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text((tmp_path / "BENCHMARK.json").read_text())
+    assert ab_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "walker",
+                          "--seeds", "0..2"]) == 0
+    out = capsys.readouterr().out
+    assert "norm_wall_s (bound 25%): median +0.0% of the parent's, spread 0.0%; no worse" in out
+    assert "peak_rss_mb (bound 10%): median +20.0% of the parent's, spread 0.0%; worse beyond bound" in out
+
+
 def test_seeds():
     assert ab_pairs.parse_seeds("3..5") == [3, 4, 5]
     assert ab_pairs.parse_seeds("4,1") == [4, 1]
@@ -78,3 +127,6 @@ def test_one_short_override_pair_of_a_checkout_against_itself():
     for name in ("norm_wall_s", "setup_s", "norm_sim_rate", "peak_rss_mb"):
         assert any(line.startswith(f"  {name}: parent ") and " change " in line for line in lines), name
     assert any(line.startswith("norm_wall_s (lower is better): change better in ") for line in lines)
+    for name in ("setup_s", "norm_wall_s", "norm_sim_rate", "peak_rss_mb"):
+        verdicts = ("no worse", "worse beyond bound", "unresolved: spread wider than bound")
+        assert any(line.startswith(f"{name} (bound ") and line.endswith(verdicts) for line in lines), name

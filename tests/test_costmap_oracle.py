@@ -15,7 +15,7 @@ import pytest
 import parent_costmap as parent
 from crossnav import planner
 from crossnav.geometry import FrameId, InvalidRotation, PointCloud, RigidTransform, _check_rotation
-from crossnav.perception import FREE, OCCUPIED, Costmap2D, inflate
+from crossnav.perception import FREE, OCCUPIED, Costmap2D, build_costmap, inflate
 from crossnav.planner import ApfParams, potential, repulsive_force
 
 # (width, height): square, both non-square orientations, and single rows and columns
@@ -231,3 +231,35 @@ def test_translations_and_points_refuse_non_finite_values(bad):
         pts[2, i] = bad
         with pytest.raises(ValueError, match="non-finite"):
             PointCloud(pts, FrameId.WORLD)
+
+
+class TestMemoryIsStampedStraightIntoTheGrid:
+    """The band and the memory points marked one after the other give the map of one merged cloud."""
+
+    @staticmethod
+    def _points(rng, n, columns, res, origin, shape):
+        """Points over and around the grid; a quarter of them on cell edges, some on its bounds."""
+        w, h = shape
+        lo, hi = np.asarray(origin) - 3 * res, np.asarray(origin) + (np.array([w, h]) + 3) * res
+        pts = rng.uniform(np.r_[lo, -1.0][:columns], np.r_[hi, 1.0][:columns], size=(n, columns))
+        edges = rng.random(n) < 0.25
+        cells = rng.integers(-2, max(w, h) + 3, size=(n, 2))
+        pts[edges, :2] = np.asarray(origin) + cells[edges] * res
+        return pts
+
+    def test_same_cells_as_the_merged_cloud(self):
+        rng = np.random.default_rng(20261021)
+        kinds = set()
+        for trial in range(600):
+            shape = SHAPES[trial % len(SHAPES)]
+            res = RESOLUTIONS[trial % len(RESOLUTIONS)]
+            origin = tuple(rng.uniform(-3.0, 1.0, size=2))
+            n_band, n_memory = (int(rng.integers(0, 3)) * int(rng.integers(0, 400)) for _ in range(2))
+            band = PointCloud(self._points(rng, n_band, 3, res, origin, shape), FrameId.ROBOT_BASE)
+            memory = None if trial % 7 == 0 else self._points(rng, n_memory, 2, res, origin, shape)
+            got = build_costmap(band, origin, res, *shape, memory)
+            want = parent.merged_costmap(band, memory, origin, res, *shape)
+            assert got.cells.tobytes() == want.cells.tobytes(), f"trial {trial}"
+            assert got.origin.tobytes() == want.origin.tobytes() and got.resolution == want.resolution
+            kinds.add((n_band > 0, "none" if memory is None else len(memory) > 0))
+        assert kinds == {(b, m) for b in (False, True) for m in ("none", False, True)}

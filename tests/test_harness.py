@@ -26,13 +26,12 @@ from crossnav.harness import (
     load_scenario,
     parse_seed_range,
     read_trace,
-    render_trace_svg,
-    render_trace_text,
     run_sweep,
     summarize,
 )
 from crossnav.sentinel import RoiSpec, SentinelConfig
 from crossnav.sim import Condition, ConfigError, EpisodeReport, TerminationStatus, run_episode
+from crossnav.trace_plots import render_trace_svg, render_trace_text
 from crossnav.world import ObstacleKind, ObstacleShape
 
 DATA = Path(__file__).parent / "data"

@@ -1210,6 +1210,25 @@ class TestConfigValidation:
         with pytest.raises(error, match=f"^{re.escape(prefix + name)} must be finite$"):
             cls(**{name: arg})
 
+    RIG_FIELDS = ["robot_mount_xyz", "robot_mount_pitch_rad", "chest_forward_m", "bend_pitch_rad"]
+
+    @pytest.mark.parametrize("name", RIG_FIELDS)
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_the_rig_refuses_non_finite_mounting(self, name, value):
+        # bend_pitch_rad=nan raised InvalidRotation when the bend window
+        # opened, and chest_forward_m=inf a ValueError at the first chest tick
+        arg = (0.25, value, 0.35) if name == "robot_mount_xyz" else value
+        with pytest.raises(ConfigError, match=f"^rig.{name} must be finite$"):
+            dataclasses.replace(default_rig(), **{name: arg})
+
+    @pytest.mark.parametrize("name", ["width", "height"])
+    @pytest.mark.parametrize("value", [100.5, 100.0, True])
+    def test_the_grid_size_must_be_an_integer(self, name, value):
+        # width=100.5 constructed, and the first planner tick raised TypeError
+        with pytest.raises(ConfigError, match=f"^perception.{name} must be an integer$"):
+            PerceptionSpec(**{name: value})
+        assert PerceptionSpec(**{name: np.int64(80)}).width > 0
+
     @pytest.mark.parametrize("name", ["leash_length_m", "body_radius_m", "head_height_m", "chest_height_m"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -1.0])
     def test_scene_body_and_leash_sizes_must_be_positive_and_finite(self, name, value):
@@ -1745,6 +1764,32 @@ class TestChestTick:
             assert renders[-1].obstacles == ()
 
 
+class TestChestSceneReuse:
+    def test_ticks_that_keep_the_same_obstacles_render_one_scene(self, tmp_path, chest_scenes):
+        ep = _Episode(config_of(CULL_SCENE, safety=HumanSafetyParams(z_low=0.8, z_high=1.9)),
+                      Condition.CROSS_VIEW, 0, tmp_path, None, None)
+        for k in range(3):
+            ep._chest_tick(k / 15.0)
+        assert [ob.obstacle_id for ob in chest_scenes[0].obstacles] == ["lamp"]
+        assert chest_scenes[1] is chest_scenes[0] and chest_scenes[2] is chest_scenes[0]
+
+    def test_a_scene_with_other_obstacles_is_not_reused(self):
+        safety = HumanSafetyParams(z_low=1.0, z_high=1.9, d_safe=1.2, release_hysteresis=0.2)
+        lamp = cyl((1.0, 0.0), 0.2, (1.0, 1.5), oid="lamp")
+        behind = cyl((-1.0, 0.0), 0.2, (1.0, 1.5), oid="behind")
+        scene = scene_of([lamp, behind])
+        ahead = corridor_scene(scene, np.zeros(3), safety)
+        assert corridor_scene(scene, np.zeros(3), safety, ahead) is ahead
+        turned = corridor_scene(scene, np.array([0.0, 0.0, math.pi]), safety, ahead)
+        assert turned is not ahead and [ob.obstacle_id for ob in turned.obstacles] == ["behind"]
+        # equal obstacles that are other objects make a scene of their own
+        twin = scene_of([cyl((1.0, 0.0), 0.2, (1.0, 1.5), oid="lamp"), behind])
+        assert corridor_scene(twin, np.zeros(3), safety, ahead) is not ahead
+        # every obstacle kept: the scene itself, whatever came before
+        alone = scene_of([lamp])
+        assert corridor_scene(alone, np.zeros(3), safety, ahead) is alone
+
+
 class TestNoiseStreams:
     def test_the_robot_stream_starts_the_same_in_single_and_cross_view(self, tmp_path):
         cfg = config_of(CULL_SCENE, sim={"depth_sigma_m": 0.03})
@@ -1775,6 +1820,14 @@ class TestUniqueCells:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
-    def test_empty_and_single_rows(self):
-        for cells in (np.zeros((0, 2), dtype=np.int64), np.array([[-4, 7]], dtype=np.int64)):
-            assert unique_cells(cells).tobytes() == np.unique(cells, axis=0).tobytes()
+    def test_empty_single_and_all_duplicate_rows(self):
+        for cells in (
+            np.zeros((0, 2), dtype=np.int64),
+            np.array([[-4, 7]], dtype=np.int64),
+            np.tile(np.array([[-4, 7]], dtype=np.int64), (50, 1)),
+            np.tile(np.array([[2**31 - 1, -(2**31)]], dtype=np.int64), (3, 1)),
+            np.zeros((9, 2), dtype=np.int64),
+        ):
+            got, want = unique_cells(cells), np.unique(cells, axis=0)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()

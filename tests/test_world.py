@@ -5,17 +5,21 @@ makes the answer obvious, and a slow inside-test ray march as an independent
 oracle on randomized scenes.
 """
 
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import parent_casters
+import parent_render
 import parent_windows
 from crossnav import world
 from crossnav.geometry import FrameId, RigidTransform, rot_y, rot_z
 from crossnav.sentinel import RoiSpec, default_roi, roi_min_depth
+from crossnav.sim import BendPose, chest_camera_pose, default_rig, robot_camera_pose
 from crossnav.world import (
     CameraIntrinsics,
     DepthImage,
@@ -23,11 +27,15 @@ from crossnav.world import (
     ObstacleKind,
     ObstacleShape,
     Scene,
-    _bounds,
+    _cone_normals,
+    _outside_cone,
     _pixel_window,
     _ray_axes,
+    _ray_component,
     _raycast_box,
     _raycast_cylinder,
+    _view_cone,
+    _world_planes,
     apply_depth_noise,
     deproject,
     render_depth,
@@ -333,14 +341,14 @@ def _corners(lo, hi):
 
 def _window(ob, pose, intr):
     """The pixel window of an obstacle's bounding box, as render_depth finds it."""
-    return _pixel_window(*_bounds(ob), pose.translation.tolist(), pose.rotation.tolist(), intr)
+    return _pixel_window(*ob.bounds, pose.translation.tolist(), pose.rotation.tolist(), intr)
 
 
 class TestRenderCullingIsExact:
     """Casting each obstacle only against its pixel window changes no bit of the image."""
 
     def _culling_branch(self, ob, pose, intr):
-        lo, hi = _bounds(ob)
+        lo, hi = ob.bounds
         qz = (_corners(lo, hi) - pose.translation) @ pose.rotation[:, 2]
         window = _window(ob, pose, intr)
         if np.all(qz <= 0.0):
@@ -494,7 +502,7 @@ class TestWindowsHoldEveryHit:
         straddling = 0
         for trial in range(800):
             ob, pose, intr = _lone_obstacle(rng)
-            lo, hi = _bounds(ob)
+            lo, hi = ob.bounds
             window = _window(ob, pose, intr)
             rays = _full_image_rays(intr, pose.rotation)
             t = np.full(rays[0].shape, np.inf)
@@ -519,7 +527,7 @@ class TestWindowsMatchTheArrayCode:
         straddling = 0
         for trial in range(2400):
             ob, pose, intr = _lone_obstacle(rng)
-            lo, hi = _bounds(ob)
+            lo, hi = ob.bounds
             want = parent_windows._pixel_windows(
                 np.array([lo]), np.array([hi]), pose.translation, pose.rotation, intr
             )[0]
@@ -527,6 +535,164 @@ class TestWindowsMatchTheArrayCode:
             qz = (_corners(lo, hi) - pose.translation) @ pose.rotation[:, 2]
             straddling += bool(qz.min() <= 0.0 < qz.max())
         assert straddling > 1000
+
+
+def _edge_obstacle(rng):
+    """A small random (obstacle, camera pose, intrinsics) near a side of the view cone.
+
+    The obstacle's centre projects to a pixel within a few pixels of an image
+    edge, at a depth that is sometimes around or behind the camera plane, so
+    the view-cone planes and the window bounds are both tight. Some are
+    specks of at most 10 micrometres across a cone plane, which a cull with
+    a millimetre less slack would drop with their windows.
+    """
+    width, height = int(rng.integers(8, 41)), int(rng.integers(6, 31))
+    f = (width / 2.0) / np.tan(np.radians(rng.uniform(20.0, 150.0)) / 2.0)
+    intr = CameraIntrinsics(f, f * rng.uniform(0.7, 1.4), rng.uniform(0.0, width - 1e-9),
+                            rng.uniform(0.0, height - 1e-9), width, height, 5.0)
+    cam = np.array([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(0.2, 1.5)])
+    pose = camera_pose(cam, yaw=rng.uniform(-np.pi, np.pi), pitch=rng.uniform(-1.2, 1.2))
+    u, v = (rng.choice([rng.uniform(-6.0, 3.0), rng.uniform(n - 3.0, n + 6.0), rng.uniform(0.0, n)])
+            for n in (width, height))
+    depth = rng.uniform(0.5, 4.0) if rng.uniform() < 0.8 else rng.uniform(-0.3, 0.3)
+    size = rng.uniform(0.002, 0.2)
+    if rng.uniform() < 0.3:  # a speck within a hundredth of a pixel of a cone plane
+        u, v = rng.choice([-2.0, width + 1.0]), rng.uniform(0.0, height)
+        if rng.uniform() < 0.5:
+            u, v = rng.uniform(0.0, width), rng.choice([-2.0, height + 1.0])
+        u, v, depth = u + rng.uniform(-0.01, 0.01), v + rng.uniform(-0.01, 0.01), rng.uniform(0.5, 4.0)
+        size = rng.uniform(1e-7, 1e-5)
+    q = np.array([depth * (u - intr.cx) / intr.fx, depth * (v - intr.cy) / intr.fy, depth])
+    cx, cy, cz = pose.rotation @ q + pose.translation
+    if rng.uniform() < 0.5:
+        ob = cyl("c", cx, cy, size, cz - size, cz + size)
+    else:
+        ob = box("b", cx, cy, size, rng.uniform(0.002, 0.2), cz - size, cz + size)
+    return ob, pose, intr
+
+
+def _dropped(ob, pose, normals):
+    """Whether the view-cone cull of ``render_depth`` drops the obstacle, given the cone's optical normals."""
+    planes = _world_planes(normals, pose.translation.tolist(), pose.rotation.tolist())
+    return _outside_cone(ob.bounding_sphere, planes)
+
+
+class TestViewConeCull:
+    """An obstacle that the view-cone cull drops has no pixel window, so dropping it changes no bit."""
+
+    def test_every_dropped_obstacle_has_no_window(self):
+        rng = np.random.default_rng(20261022)
+        by_plane = [0] * 5
+        dropped = kept_with_window = inward_misses = 0
+        cases = [_edge_obstacle(rng) for _ in range(1500)] + [_lone_obstacle(rng) for _ in range(500)]
+        for _ in range(100):
+            scene, pose, intr = _random_view(rng)
+            cases += [(ob, pose, intr) for ob in scene.obstacles]
+        for trial, (ob, pose, intr) in enumerate(cases):
+            window = _window(ob, pose, intr)
+            cone = _view_cone(intr)
+            if _dropped(ob, pose, cone):
+                assert window is None, f"case {trial}: {ob} dropped with window {window}"
+                dropped += 1
+                for k, normal in enumerate(cone):
+                    by_plane[k] += _dropped(ob, pose, (normal,))
+            else:
+                kept_with_window += window is not None
+            # each plane one pixel further in would drop obstacles that have a window
+            inward = _cone_normals(intr, -1.0, float(intr.width), -1.0, float(intr.height))
+            inward_misses += window is not None and _dropped(ob, pose, inward)
+        assert dropped > 500 and kept_with_window > 500
+        assert min(by_plane) > 20, by_plane  # the camera plane, then columns -2, W + 1, rows -2, H + 1
+        assert inward_misses > 20
+
+    def test_the_planes_are_unit_and_outward(self):
+        intr = CameraIntrinsics(50.0, 40.0, 20.5, 11.0, 40, 24, 5.0)
+        normals = _view_cone(intr)
+        assert all(math.isclose(math.hypot(*n), 1.0, rel_tol=1e-15) for n in normals)
+        # a point just past each plane, in front of the camera, and one just inside it
+        for n, (u, v) in zip(normals[1:], [(-2.0, 11.0), (41.0, 11.0), (20.5, -2.0), (20.5, 25.0)]):
+            q = np.array([(u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy, 1.0])
+            assert abs(np.dot(n, q)) < 1e-12  # on the plane
+            inward = np.array([(intr.cx - u) / intr.fx, (intr.cy - v) / intr.fy, 0.0]) * 1e-3
+            assert np.dot(n, q - inward) > 0.0 > np.dot(n, q + inward)
+        assert normals[0] == (0.0, 0.0, -1.0)
+
+
+class TestRaysAtTheirShape:
+    """Rays built at the shape they vary over render the bits of 2-D rays (``tests/parent_render.py``)."""
+
+    def test_a_dropped_term_keeps_the_bits_of_the_full_sum(self):
+        xs = np.array([-1.5, -0.0, 0.0, 0.25, 3.0, 5e-324])
+        ys = np.array([-2.0, -0.0, 0.0, 0.5, 5e-324])[:, None]
+        values = [0.0, -0.0, 1.0, -1.0, 0.3, -2.5e-7]
+        shapes = set()
+        for a, b, k in itertools.product(values, repeat=3):
+            got = _ray_component(a, b, k, xs, ys)
+            want = a * xs + b * ys + k
+            assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes(), (a, b, k)
+            droppable = k != 0.0 or math.copysign(1.0, k) > 0.0
+            assert got.shape == (want.shape if not droppable or a * b != 0.0
+                                 else xs.shape if b == 0.0 else ys.shape), (a, b, k)
+            shapes.add(got.shape)
+        assert shapes == {xs.shape, ys.shape, (ys.shape[0], xs.shape[0])}
+
+    @staticmethod
+    def _scene_around(rng, cam, heading):
+        """Obstacles around a camera, with one box whose face plane holds the camera centre."""
+        fwd = np.array([math.cos(heading), math.sin(heading)])
+        left = np.array([-fwd[1], fwd[0]])
+        obstacles = []
+        for k in range(int(rng.integers(1, 5))):
+            f, lat = rng.uniform(-1.0, 4.0), rng.uniform(-2.0, 2.0)
+            cx, cy = cam[:2] + f * fwd + lat * left
+            z0 = rng.uniform(-0.2, 1.6)
+            z1 = z0 + rng.uniform(0.1, 1.2)
+            if rng.uniform() < 0.5:
+                obstacles.append(box(f"b{k}", cx, cy, rng.uniform(0.05, 0.5), rng.uniform(0.05, 0.5), z0, z1))
+            else:
+                obstacles.append(cyl(f"c{k}", cx, cy, rng.uniform(0.05, 0.5), z0, z1))
+        # a face through the camera: x, y or z, on its low or high side
+        axis, side = int(rng.integers(3)), float(rng.choice([-1.0, 1.0]))
+        half = np.array([0.25, 0.375, 0.5])
+        centre = np.array([cam[0] + rng.uniform(0.5, 1.5), cam[1] + rng.uniform(-0.5, 0.5), cam[2]])
+        centre[axis] = cam[axis] + side * half[axis]
+        for _ in range(4):  # the face is centre -+ half: step the centre until it lands on the camera
+            face = centre[axis] - side * half[axis]
+            if face == cam[axis]:
+                break
+            centre[axis] = np.nextafter(centre[axis], math.inf if face < cam[axis] else -math.inf)
+        face = box("face", centre[0], centre[1], half[0], half[1], centre[2] - half[2], centre[2] + half[2])
+        obstacles.append(face)
+        lo, hi = face.bounds
+        on_face = cam[axis] in (lo[axis], hi[axis])
+        return scene_of(*obstacles), on_face
+
+    @pytest.mark.parametrize("heading", [0.0, -0.0, math.pi / 2, -math.pi / 2, 0.7, -2.4])
+    def test_renders_match_the_2d_ray_oracle(self, heading):
+        rng = np.random.default_rng(20261023)
+        level_rig = default_rig()
+        pitched_rig = dataclasses.replace(level_rig, robot_mount_pitch_rad=0.2)
+        odd_rig = default_rig(image_width_px=37, image_height_px=23, hfov_deg=70.0)
+        frames = {"return": 0, "empty": 0, "on face": 0}
+        for trial in range(40):
+            xy = rng.uniform(-1.0, 1.0, size=2)
+            views = [
+                ("robot", robot_camera_pose((*xy, heading), rig), rig.robot_intrinsics)
+                for rig in (level_rig, pitched_rig, odd_rig)
+            ] + [
+                ("chest", chest_camera_pose((*xy, heading), bend, rig, 1.3), rig.chest_intrinsics)
+                for bend in (BendPose.UPRIGHT, BendPose.BENT) for rig in (level_rig, odd_rig)
+            ]
+            for name, pose, intr in views:
+                cam = pose.translation
+                scene, on_face = self._scene_around(rng, cam, heading)
+                got = render_depth(scene, pose, intr)
+                want = parent_render.render_depth(scene, pose, intr)
+                assert got.box == want.box, f"trial {trial}, {name}"
+                assert got.depth.tobytes() == want.depth.tobytes(), f"trial {trial}, {name}"
+                frames["return" if got.box[0] < got.box[1] else "empty"] += 1
+                frames["on face"] += on_face
+        assert frames["return"] > 200 and frames["on face"] > 200 and frames["empty"] > 5, frames
 
 
 def _caster_case(rng):
@@ -586,6 +752,30 @@ class TestCastersMatchTheParentCode:
                 hits["vertical"] += int(found[(dx == 0) & (dy == 0)].sum())
                 hits["level"] += int(found[dz == 0].sum())
         assert min(hits.values()) > 50, hits
+
+
+class TestCastersTakeBroadcastComponents:
+    """A ray component given as one row or one column lowers the buffer to the bits of the full component."""
+
+    def test_row_and_column_components_match_full_ones(self):
+        rng = np.random.default_rng(20261024)
+        shapes = set()
+        for trial in range(3000):
+            (dx, dy, dz), origin, lo, hi, center, r, z1, z2 = _caster_case(rng)
+            rows, cols = dx.shape
+            parts = []
+            for d in (dx, dy, dz):
+                kind = int(rng.integers(3))  # full, one row (1-D, per column), one column (per row)
+                parts.append((d, d[0], d[:, :1])[kind])
+            shapes.add(tuple(p.ndim == 1 or p.shape[1] == 1 and cols > 1 for p in parts))
+            full = [np.broadcast_to(p, (rows, cols)).copy() for p in parts]
+            for caster, args in ((_raycast_box, (lo, hi)), (_raycast_cylinder, (center, r, z1, z2))):
+                buffer = rng.choice([np.inf, 0.5, 2.0, 7.0], size=(rows + 2, cols + 3))
+                want = caster(origin, *full, *args, buffer[1:-1, 2:-1].copy())
+                window = buffer[1:-1, 2:-1]
+                assert caster(origin, *parts, *args, window) is window
+                assert window.tobytes() == want.tobytes(), f"trial {trial}: {caster.__name__}"
+        assert len(shapes) == 8
 
 
 def _random_view(rng):

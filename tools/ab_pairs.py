@@ -18,7 +18,13 @@ neither side, and the medians apart by more than the distance between the
 parent's quartiles.
 
 With ``--trace 0`` the end-to-end metrics of ``BENCHMARK.json`` are
-summarised beside the compared ones. With ``--trace 1`` the compared
+summarised beside the compared ones, and each gets a verdict against the
+bound ``BENCHMARK.json`` fixes for it (a fraction of the parent's median),
+as in the ``choosing-metrics`` guide, section 6.5: "worse beyond bound"
+when the change's median is worse than the parent's by more than the
+bound; else "unresolved: spread wider than bound" when either side's
+quartiles lie further apart than the bound, unless every run of the change
+reads better than every run of the parent; else "no worse". With ``--trace 1`` the compared
 metrics are per-layer names, and times (``*_ms``, ``*_s``) are normalised
 like ``tools/record_bench.py``'s: × its ``REF_LOOP_MS`` / the run's
 ``run.ref_loop_ms``. Which way is better comes from ``BENCHMARK.json`` in
@@ -101,6 +107,32 @@ def claim(pairs: list, lower_is_better: bool):
     return wins, diff, p3 - p1, wins >= 0.9 * len(pairs) and better > p3 - p1
 
 
+def verdict(pairs: list, lower_is_better: bool, bound: float):
+    """(verdict, relative change of the median, relative spread) of an end-to-end metric.
+
+    ``pairs`` are (parent, change) values per pair, None for a failed run;
+    ``bound`` is the worsening the benchmark allows, as a fraction of the
+    parent's median. The spread is the wider of the two sides' distances
+    between quartiles, as a fraction of the parent's median.
+    """
+    parent = [p for p, _ in pairs if p is not None]
+    change = [c for _, c in pairs if c is not None]
+    if not parent or not change:
+        return "unresolved: no runs", None, None
+    p1, p_med, p3 = quartiles(parent)
+    c1, c_med, c3 = quartiles(change)
+    scale = abs(p_med) or 1.0
+    rel = (c_med - p_med) / scale
+    spread = max(p3 - p1, c3 - c1) / scale
+    worse = rel if lower_is_better else -rel
+    if worse > bound:
+        return "worse beyond bound", rel, spread
+    all_better = max(change) < min(parent) if lower_is_better else min(change) > max(parent)
+    if spread > bound and not all_better:
+        return "unresolved: spread wider than bound", rel, spread
+    return "no worse", rel, spread
+
+
 def directions(spec: dict) -> dict:
     return {m["name"]: m.get("better", "lower") for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
 
@@ -158,6 +190,19 @@ def main(argv=None) -> int:
         detail = "" if diff is None else f", median change {diff:+.6g} against a parent IQR of {iqr:.6g}"
         print(f"{name} ({'lower' if lower else 'higher'} is better): change better in {wins}/{len(pairs)} pairs"
               f"{detail}; gain {'claimed' if gain else 'not claimed'}")
+    if args.trace == 0:
+        for m in spec.get("end_to_end", []):
+            if "bound" not in m:
+                continue
+            name = m["name"]
+            pairs = [
+                (metric_value(pr, name), metric_value(cr, name))
+                for pr, cr in zip(results["parent"], results["change"])
+            ]
+            lower = m.get("better", "lower") == "lower"
+            word, rel, spread = verdict(pairs, lower, m["bound"])
+            detail = "" if rel is None else f"median {rel:+.1%} of the parent's, spread {spread:.1%}; "
+            print(f"{name} (bound {m['bound']:.0%}): {detail}{word}")
     if failed:
         print(f"{failed} runs failed or were not correct", file=sys.stderr)
     return 1 if failed else 0
