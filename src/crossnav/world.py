@@ -365,11 +365,12 @@ def _ray_component(a: float, b: float, k: float, xs: np.ndarray, ys: np.ndarray)
 
     ``xs`` holds a window's optical x per column (1-D) and ``ys`` its optical
     y per row (a column), so the sum is the world component (a, b, k) of the
-    window's rays. A term whose coefficient is 0.0 of either sign is a zero,
-    and adding a zero changes no bit of a sum, except that a zero sum takes
-    the sign that the constant k then settles, unless k is -0.0. So with k
-    nonzero or +0.0 such a term is dropped, and every element keeps the bits
-    of the full sum.
+    window's rays. A term whose coefficient is 0.0, of either sign, is a
+    signed zero. Adding it leaves a nonzero partial sum as it is; a zero
+    partial sum may change sign, but adding k then gives k when k is
+    nonzero and +0.0 when k is +0.0, either way. So when k is nonzero or
+    +0.0 such a term is dropped, and every element keeps the bits of the
+    full sum; when k is -0.0 both terms stay.
     """
     if k != 0.0 or math.copysign(1.0, k) > 0.0:
         if b == 0.0:
@@ -494,25 +495,24 @@ def _view_cone(intr: CameraIntrinsics):
     return _cone_normals(intr, -2.0, intr.width + 1.0, -2.0, intr.height + 1.0)
 
 
-def _world_planes(normals, origin, r):
-    """Optical-frame plane normals through the camera, in the world: (n_x, n_y, n_z, n . origin) each."""
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r
-    ox, oy, oz = origin
-    planes = []
-    for nx, ny, nz in normals:
-        wx = r00 * nx + r01 * ny + r02 * nz
-        wy = r10 * nx + r11 * ny + r12 * nz
-        wz = r20 * nx + r21 * ny + r22 * nz
-        planes.append((wx, wy, wz, wx * ox + wy * oy + wz * oz))
-    return planes
+def _outside_cone(sphere, origin, r, normals) -> bool:
+    """Whether a bounding sphere (centre, radius) lies wholly past one of the planes, by _CONE_SLACK_M.
 
-
-def _outside_cone(sphere, planes) -> bool:
-    """Whether a bounding sphere (centre, radius) lies wholly past one of ``planes``, by _CONE_SLACK_M."""
+    ``normals`` are optical-frame plane normals through the camera centre,
+    as ``_view_cone`` gives them; ``origin`` and ``r`` are the camera's
+    position and rotation as Python floats. The centre goes into the
+    optical frame component by component, as in ``_pixel_window``.
+    """
     (sx, sy, sz), radius = sphere
+    ox, oy, oz = origin
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r
+    dx, dy, dz = sx - ox, sy - oy, sz - oz
+    qx = dx * r00 + dy * r10 + dz * r20
+    qy = dx * r01 + dy * r11 + dz * r21
+    qz = dx * r02 + dy * r12 + dz * r22
     clear = radius + _CONE_SLACK_M
-    for wx, wy, wz, w0 in planes:
-        if wx * sx + wy * sy + wz * sz - w0 > clear:
+    for nx, ny, nz in normals:
+        if nx * qx + ny * qy + nz * qz > clear:
             return True
     return False
 
@@ -558,7 +558,6 @@ def render_depth(
         raise ValueError("camera pose must map into the world frame")
     origin = camera_pose_world.translation.tolist()
     r = camera_pose_world.rotation.tolist()
-    planes = _world_planes(_view_cone(intr), origin, r)
 
     # prune obstacles that no ray can reach: a hit at parameter t lies at
     # euclidean distance t * |dir| <= max_range * max|dir| from the origin
@@ -566,6 +565,7 @@ def render_depth(
     corner_y = max(abs(-intr.cy / intr.fy), abs((intr.height - intr.cy) / intr.fy))
     reach = intr.max_range * math.sqrt(1.0 + corner_x**2 + corner_y**2)
 
+    cone = None  # the view cone, looked up once an obstacle is within reach
     cast = []  # (obstacle, lo, hi, window)
     for ob in scene.obstacles:
         lo, hi = ob.bounds
@@ -576,7 +576,11 @@ def render_depth(
         for o, l, h in zip(origin, lo, hi):
             g = max(l - o, o - h, 0.0)
             gap += g * g
-        if math.sqrt(gap) > reach + 1e-9 or _outside_cone(ob.bounding_sphere, planes):
+        if math.sqrt(gap) > reach + 1e-9:
+            continue
+        if cone is None:
+            cone = _view_cone(intr)
+        if _outside_cone(ob.bounding_sphere, origin, r, cone):
             continue
         window = _pixel_window(lo, hi, origin, r, intr)
         if window is not None:

@@ -54,6 +54,8 @@ def test_a_failed_or_incorrect_run_fails_the_comparison_and_wins_no_pair(monkeyp
         # higher is better
         ([(2.0, 1.0)] * 10, False, False),
         ([(1.0 + i, 20.0 + i) for i in range(10)], False, True),
+        # every pair won by far, but fewer than ten pairs run
+        ([(3.0 + 0.1 * i, 1.0 + 0.1 * i) for i in range(9)], True, False),
     ],
 )
 def test_the_claim_rule(pairs, lower, gain):

@@ -35,7 +35,6 @@ from crossnav.world import (
     _raycast_box,
     _raycast_cylinder,
     _view_cone,
-    _world_planes,
     apply_depth_noise,
     deproject,
     render_depth,
@@ -573,8 +572,7 @@ def _edge_obstacle(rng):
 
 def _dropped(ob, pose, normals):
     """Whether the view-cone cull of ``render_depth`` drops the obstacle, given the cone's optical normals."""
-    planes = _world_planes(normals, pose.translation.tolist(), pose.rotation.tolist())
-    return _outside_cone(ob.bounding_sphere, planes)
+    return _outside_cone(ob.bounding_sphere, pose.translation.tolist(), pose.rotation.tolist(), normals)
 
 
 class TestViewConeCull:

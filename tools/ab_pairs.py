@@ -12,10 +12,10 @@ third, ...) and the change first on odd ones, so that a host that drifts
 during a pair favours neither side. It prints each run as it ends, then
 for each metric each side's median and quartiles, and for each compared
 metric (``--metric``, default ``norm_wall_s``) the pairs the change won and
-whether a gain may be claimed. A gain needs the change better in at least
-nine tenths of all pairs run, ties and pairs with a failed run counting for
-neither side, and the medians apart by more than the distance between the
-parent's quartiles.
+whether a gain may be claimed. A gain needs at least ten pairs run, the
+change better in at least nine tenths of them, ties and pairs with a failed
+run counting for neither side, and the medians apart by more than the
+distance between the parent's quartiles.
 
 With ``--trace 0`` the end-to-end metrics of ``BENCHMARK.json`` are
 summarised beside the compared ones, and each gets a verdict against the
@@ -41,6 +41,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from record_bench import REF_LOOP_MS  # noqa: E402
+
+
+#: pairs a gain claim needs (the choosing-metrics guide, section 8)
+MIN_PAIRS = 10
 
 
 def parse_seeds(text: str) -> list:
@@ -104,7 +108,8 @@ def claim(pairs: list, lower_is_better: bool):
     p1, p_med, p3 = quartiles(parent)
     diff = quartiles(change)[1] - p_med
     better = -diff if lower_is_better else diff
-    return wins, diff, p3 - p1, wins >= 0.9 * len(pairs) and better > p3 - p1
+    gain = len(pairs) >= MIN_PAIRS and wins >= 0.9 * len(pairs) and better > p3 - p1
+    return wins, diff, p3 - p1, gain
 
 
 def verdict(pairs: list, lower_is_better: bool, bound: float):
