@@ -24,12 +24,13 @@ as in the ``choosing-metrics`` guide, section 6.5: "worse beyond bound"
 when the change's median is worse than the parent's by more than the
 bound; else "unresolved: spread wider than bound" when either side's
 quartiles lie further apart than the bound, unless every run of the change
-reads better than every run of the parent; else "no worse". With ``--trace 1`` the compared
-metrics are per-layer names, and times (``*_ms``, ``*_s``) are normalised
-like ``tools/record_bench.py``'s: × its ``REF_LOOP_MS`` / the run's
-``run.ref_loop_ms``. Which way is better comes from ``BENCHMARK.json`` in
-the change checkout, lower where it names none. Exits 1 when a run fails
-or reports ``correct: false``, else 0.
+reads better than every run of the parent; else "no worse".
+
+With ``--trace 1`` the compared metrics are per-layer names, and times
+(``*_ms``, ``*_s``) are normalised like ``tools/record_bench.py``'s: × its
+``REF_LOOP_MS`` / the run's ``run.ref_loop_ms``. Which way is better comes
+from ``BENCHMARK.json`` in the change checkout, lower where it names none.
+Exits 1 when a run fails or reports ``correct: false``, else 0.
 """
 
 import argparse
@@ -185,27 +186,24 @@ def main(argv=None) -> int:
             else:
                 line.append(f"{side} -")
         print(f"  {name}: " + "  ".join(line))
-    for name in compared:
-        pairs = [
+    def pairs_of(name):
+        return [
             (metric_value(pr, name), metric_value(cr, name))
             for pr, cr in zip(results["parent"], results["change"])
         ]
+
+    for name in compared:
         lower = better.get(name, "lower") == "lower"
-        wins, diff, iqr, gain = claim(pairs, lower)
+        wins, diff, iqr, gain = claim(pairs_of(name), lower)
         detail = "" if diff is None else f", median change {diff:+.6g} against a parent IQR of {iqr:.6g}"
-        print(f"{name} ({'lower' if lower else 'higher'} is better): change better in {wins}/{len(pairs)} pairs"
+        print(f"{name} ({'lower' if lower else 'higher'} is better): change better in {wins}/{len(args.seeds)} pairs"
               f"{detail}; gain {'claimed' if gain else 'not claimed'}")
     if args.trace == 0:
         for m in spec.get("end_to_end", []):
             if "bound" not in m:
                 continue
             name = m["name"]
-            pairs = [
-                (metric_value(pr, name), metric_value(cr, name))
-                for pr, cr in zip(results["parent"], results["change"])
-            ]
-            lower = m.get("better", "lower") == "lower"
-            word, rel, spread = verdict(pairs, lower, m["bound"])
+            word, rel, spread = verdict(pairs_of(name), m.get("better", "lower") == "lower", m["bound"])
             detail = "" if rel is None else f"median {rel:+.1%} of the parent's, spread {spread:.1%}; "
             print(f"{name} (bound {m['bound']:.0%}): {detail}{word}")
     if failed:
