@@ -196,8 +196,8 @@ def main(argv=None) -> int:
         lower = better.get(name, "lower") == "lower"
         wins, diff, iqr, gain = claim(pairs_of(name), lower)
         detail = "" if diff is None else f", median change {diff:+.6g} against a parent IQR of {iqr:.6g}"
-        print(f"{name} ({'lower' if lower else 'higher'} is better): change better in {wins}/{len(args.seeds)} pairs"
-              f"{detail}; gain {'claimed' if gain else 'not claimed'}")
+        print(f"{name} ({'lower' if lower else 'higher'} is better): change better in {wins}/{len(args.seeds)}"
+              f" pairs{detail}; gain {'claimed' if gain else 'not claimed'}")
     if args.trace == 0:
         for m in spec.get("end_to_end", []):
             if "bound" not in m:
