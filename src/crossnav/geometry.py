@@ -94,9 +94,30 @@ class RigidTransform:
         return cls(np.eye(3), np.zeros(3), frame, frame)
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        """Map (N, 3) or (3,) coordinates from ``from_frame`` into ``to_frame``."""
+        """Map (N, 3) or (3,) coordinates from ``from_frame`` into ``to_frame``.
+
+        The points are worked on columns by ``coordinates``, with no matrix
+        product, so a point's bits depend on that point alone: the same in a
+        subset of a cloud as in the whole, and the same under every BLAS
+        kernel numpy may pick. An (N, 3) result is the transpose of those
+        rows, so each of its columns is contiguous.
+        """
         pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.rotation.T + self.translation
+        return self.coordinates(*pts.reshape(-1, 3).T).T.reshape(pts.shape)
+
+    def coordinates(self, x, y, z, rows: slice = slice(0, 3)) -> np.ndarray:
+        """Output coordinates ``rows`` of the points whose input coordinates are
+        the arrays x, y, z, one output row per coordinate.
+
+        Row i is ((x R[i,0] + y R[i,1]) + z R[i,2]) + t[i], rounded in that
+        order.
+        """
+        r = self.rotation[rows]
+        out = r[:, 0:1] * x
+        out += r[:, 1:2] * y
+        out += r[:, 2:3] * z
+        out += self.translation[rows, None]
+        return out
 
 
 def rot_x(angle: float) -> np.ndarray:
@@ -181,4 +202,6 @@ def transform_points(t: RigidTransform, cloud: PointCloud) -> PointCloud:
         raise FrameMismatch(
             f"cloud is in {cloud.frame.value}, transform consumes {t.from_frame.value}"
         )
+    if len(cloud) == 0:  # most chest frames: nothing in reach returns
+        return PointCloud.empty(t.to_frame)
     return PointCloud(t.apply(cloud.points), t.to_frame)

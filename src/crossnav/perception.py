@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import FrameId, FrameMismatch, PointCloud
+from .geometry import FrameId, FrameMismatch, PointCloud, RigidTransform
 
 FREE = np.uint8(0)
 OCCUPIED = np.uint8(1)
@@ -24,17 +24,32 @@ class InvalidGrid(Exception):
     """Raised for non-positive resolution or empty grid dimensions."""
 
 
-def passthrough_filter(cloud: PointCloud, z_min: float, z_max: float) -> PointCloud:
-    """Keep exactly the points with z_min <= z <= z_max, preserving order.
+def passthrough_filter(cloud: PointCloud, z_min: float, z_max: float, mount: RigidTransform) -> PointCloud:
+    """The points whose robot-base z lies in [z_min, z_max], in their order, in the robot base frame.
 
     Drops ground returns below the band and structures above the robot's
-    clearance height. The cloud must already be in the robot base frame.
+    clearance height. ``mount`` takes the cloud's frame into the robot base
+    frame (the robot camera's optical frame, or the identity on a base-frame
+    cloud). Each point's base z is worked first, and x and y only for the
+    points kept; ``RigidTransform.coordinates`` rounds them as
+    ``mount.apply`` does, so the band is bitwise that of
+    ``transform_points(mount, cloud)``.
     """
-    if cloud.frame != FrameId.ROBOT_BASE:
-        raise FrameMismatch(f"passthrough expects robot_base cloud, got {cloud.frame.value}")
-    z = cloud.points[:, 2]
-    mask = (z >= z_min) & (z <= z_max)
-    return PointCloud(cloud.points[mask], cloud.frame)
+    if cloud.frame != mount.from_frame or mount.to_frame != FrameId.ROBOT_BASE:
+        raise FrameMismatch(
+            f"passthrough expects a cloud the mount takes into robot_base, got {cloud.frame.value} "
+            f"and a mount from {mount.from_frame.value} to {mount.to_frame.value}"
+        )
+    if len(cloud) == 0:  # most frames: nothing in view returns
+        return PointCloud.empty(FrameId.ROBOT_BASE)
+    x, y, z = cloud.points.T
+    (base_z,) = mount.coordinates(x, y, z, slice(2, 3))
+    mask = base_z >= z_min
+    mask &= base_z <= z_max
+    kept = np.empty((3, np.count_nonzero(mask)))
+    kept[:2] = mount.coordinates(x[mask], y[mask], z[mask], slice(0, 2))
+    kept[2] = base_z[mask]
+    return PointCloud(kept.T, FrameId.ROBOT_BASE)
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,7 @@ from .sentinel import (
     HazardEvent,
     ObstacleSighting,
     RoiOutOfBounds,
+    RoiSpec,
     SentinelConfig,
     TemplateDescriber,
     check_trigger,
@@ -454,15 +455,14 @@ def _chest_mount(rig: SensorRig, bend: BendPose, chest_height_m: float) -> Rigid
 def _world_pose(pose, mount: RigidTransform) -> RigidTransform:
     """compose(RigidTransform(rot_z(heading), (x, y, 0)), mount) for pose (x, y, heading), on floats.
 
-    One checked transform and no matrix product, so no BLAS kernel choice
-    reaches the pose. Each rotation entry is accumulated as
-    ((0.0 + a_i0 b_0j) + a_i1 b_1j) + a_i2 b_2j, the order in which
-    ``compose``'s 3x3 product rounds under OpenBLAS's Nehalem and Haswell
-    kernels (``tests/test_sim.py::TestCameraPosesOnFloats`` holds it to those
-    bits), and the translation rot_z(heading) @ t + (x, y, 0) in the same order. The cosine and sine are numpy's, as in ``rot_z``. With
-    no lateral mount offset, as on every shipped rig, the translation has
-    ``compose``'s bits too; with one, a kernel that fuses the multiply-adds of
-    ``compose``'s matrix-vector product may round its last bit differently.
+    One checked transform and no matrix product: as in
+    ``RigidTransform.apply``, every sum rounds in a fixed order, so no BLAS
+    kernel reaches a camera pose. Each rotation entry is accumulated as
+    ((0.0 + a_i0 b_0j) + a_i1 b_1j) + a_i2 b_2j, and the translation
+    rot_z(heading) @ t + (x, y, 0) in the same order; the cosine and sine
+    are numpy's, as in ``rot_z``. That order gives the bits of ``compose``
+    under OpenBLAS's Nehalem and Haswell kernels on every shipped rig
+    (``tests/test_sim.py::TestCameraPosesOnFloats`` holds it to them).
     """
     x, y, heading = map(float, pose)
     c, s = float(np.cos(heading)), float(np.sin(heading))
@@ -511,8 +511,7 @@ def robot_branch_observation(
     img = render_depth(scene, robot_camera_pose(robot_pose, rig), rig.robot_intrinsics)
     if depth_sigma > 0 and rng is not None:
         img = apply_depth_noise(img, depth_sigma, rng)
-    cloud = transform_points(_robot_mount(rig), deproject(img))
-    band = passthrough_filter(cloud, spec.z_band_low_m, spec.z_band_high_m)
+    band = passthrough_filter(deproject(img), spec.z_band_low_m, spec.z_band_high_m, _robot_mount(rig))
     grid = build_costmap(band, spec.origin_xy, spec.resolution_m, spec.width, spec.height, extra_xy)
     return img, band, inflate(grid, spec.r_inf_m)
 
@@ -589,6 +588,46 @@ def corridor_scene(
     return replace(scene, obstacles=kept)
 
 
+def robot_camera_in_band(rig: SensorRig, spec: PerceptionSpec, roi: RoiSpec) -> bool:
+    """Whether the robot camera sits inside the height band and no ray of ``roi`` rises.
+
+    The base-frame rise of the ray (x, y, 1) in the optical frame is
+    R[2,0] x + R[2,1] y + R[2,2] on the robot mount's rotation R, linear in
+    (x, y), so over the region's pixels it is greatest at one of the four
+    corner pixels. Bending and heading leave the robot camera as it is.
+    """
+    if not spec.z_band_low_m <= rig.robot_mount_xyz[2] <= spec.z_band_high_m:
+        return False
+    intr = rig.robot_intrinsics
+    r0, r1, r2 = _robot_mount(rig).rotation[2].tolist()
+    return all(
+        r0 * ((u - intr.cx) / intr.fx) + r1 * ((v - intr.cy) / intr.fy) + r2 <= 0.0
+        for u in (roi.u_min, roi.u_max - 1)
+        for v in (roi.v_min, roi.v_max - 1)
+    )
+
+
+def band_scene(scene: Scene, spec: PerceptionSpec) -> Scene:
+    """The scene without the obstacles wholly above the robot branch's height band.
+
+    An obstacle is dropped when its bottom lies more than ``_CULL_SLACK_M``
+    above ``z_band_high_m``.
+
+    When ``robot_camera_in_band`` holds the cull is exact for the robot
+    branch. A ray from the camera, which is inside the band, whose first hit
+    lies above the band is rising, so every later hit of it lies above the
+    band too; and no ray of the region of interest rises, so none reaches an
+    obstacle above the camera. The band points of a noise-free frame are then
+    bitwise the same, in the same order, and so is the region's least depth.
+    Returns ``scene`` itself when every obstacle is kept.
+    """
+    top = spec.z_band_high_m + _CULL_SLACK_M
+    kept = tuple(ob for ob in scene.obstacles if ob.z_min <= top)
+    if len(kept) == len(scene.obstacles):
+        return scene
+    return replace(scene, obstacles=kept)
+
+
 def frustum_summary(scene: Scene, robot_pose: np.ndarray, rig: SensorRig) -> List[ObstacleSighting]:
     """Ground-truth list of obstacles inside the robot camera's view cone."""
     x, y, th = robot_pose
@@ -653,7 +692,9 @@ class CollisionTracker:
 
     The human is a vertical cylinder from the ground to head height; the
     robot a shorter, wider one. Re-contact with the same obstacle inside the
-    debounce window is not a new event.
+    debounce window is not a new event. Times are tick times, whole numbers
+    of nanoseconds, and the window is compared in those nanoseconds: a
+    re-contact exactly one window after an event is a new event.
 
     The (agent, obstacle) pairs whose height spans can meet are listed once,
     each with its squared reach (footprint circumradius + agent radius +
@@ -696,7 +737,8 @@ class CollisionTracker:
         self._human = _AgentPairs(pairs["human"])
         self._robot = _AgentPairs(pairs.get("robot", []))
         self._touching: set = set()  # (agent, obstacle_id) keys in contact
-        self._last_event: Dict[Tuple[str, str], float] = {}
+        self._debounce_ns = round(sim.collision_debounce_s * 1e9)
+        self._last_event: Dict[Tuple[str, str], int] = {}  # tick time of the last event, in ns
 
     def in_contact(self, agent: str = "human") -> bool:
         return any(key[0] == agent for key in self._touching)
@@ -731,10 +773,11 @@ class CollisionTracker:
                 if ob.footprint_distance((x, y)) <= radius:
                     if key not in touching:
                         touching.add(key)
+                        now_ns = round(now * 1e9)
                         last = self._last_event.get(key)
-                        if last is None or now - last >= self.sim.collision_debounce_s:
+                        if last is None or now_ns - last >= self._debounce_ns:
                             events.append(CollisionEvent(now, key[0], ob.obstacle_id, ob.kind))
-                            self._last_event[key] = now
+                            self._last_event[key] = now_ns
                     continue
             else:
                 gap = math.sqrt(d2) - reach
@@ -945,6 +988,11 @@ class _Episode:
             config.rig, self.scene.chest_height_m, config.safety
         )
         self.chest_scene: Optional[Scene] = None  # the last culled chest scene
+        # the robot camera's scene: its cull depends on no pose, so it is made
+        # once, and, as for the chest, never with noise on
+        self.robot_scene = self.scene
+        if config.sim.depth_sigma_m == 0 and robot_camera_in_band(config.rig, config.perception, self.roi):
+            self.robot_scene = band_scene(self.scene, config.perception)
 
         # each branch's newest command, None before its first
         self.apf_cmd: Optional[VelocityCommand] = None
@@ -957,7 +1005,8 @@ class _Episode:
         self.announcements: List[HazardEvent] = []
         self.rows: List[str] = []
         self.collisions: List[CollisionEvent] = []
-        self.stall_since: Optional[float] = None
+        self.stall_since_ns: Optional[int] = None
+        self.stall_window_ns = round(config.sim.stall_window_s * 1e9)
         self.status: Optional[TerminationStatus] = None
         # the time of ``state``: after physics tick k, the scheduler's time of tick k + 1
         self.time = 0.0
@@ -1010,7 +1059,7 @@ class _Episode:
                 rx, ry = world[:, 0] - x, world[:, 1] - y
                 extra = np.column_stack([c * rx + s * ry, -s * rx + c * ry])
         img, band, costmap = robot_branch_observation(
-            self.scene,
+            self.robot_scene,
             self.state.robot_pose,
             cfg.rig,
             cfg.perception,
@@ -1087,7 +1136,8 @@ class _Episode:
         sim = self.config.sim
         self.state = step(self.state, self.executed, sim.dt, self.scene, self.follower, self.drive_human)
         self.physics_ticks += 1
-        t = self.time = _tick_ns(self.physics_ticks, self.physics_rate_hz) * 1e-9
+        t_ns = _tick_ns(self.physics_ticks, self.physics_rate_hz)
+        t = self.time = t_ns * 1e-9
         if self.config.bend_window_s is not None:
             self.state.human_bend = self._bend_at(t)
 
@@ -1103,7 +1153,7 @@ class _Episode:
         tolerance = sim.goal_tolerance_m
         if _hypot_vs(self.goal_x - x, self.goal_y - y, tolerance) <= tolerance:
             self.status = TerminationStatus.GOAL
-        elif self._stalled(t):
+        elif self._stalled(t, t_ns):
             self.status = TerminationStatus.STALLED
         elif t >= sim.timeout_s:
             self.status = TerminationStatus.TIMEOUT
@@ -1111,15 +1161,20 @@ class _Episode:
             events.append(self.status.value)
         self.rows.append(self._format_row(events))
 
-    def _stalled(self, t: float) -> bool:
+    def _stalled(self, t: float, t_ns: int) -> bool:
+        """Whether the command has stayed below the stall norm for the stall window, past the grace.
+
+        The window is measured on the tick times in whole nanoseconds, so a
+        stall of exactly ``stall_window_s`` ends the episode.
+        """
         sim = self.config.sim
         if t <= sim.stall_grace_s or self.executed_norm >= sim.stall_norm:
-            self.stall_since = None
+            self.stall_since_ns = None
             return False
-        if self.stall_since is None:
-            self.stall_since = t
+        if self.stall_since_ns is None:
+            self.stall_since_ns = t_ns
             return False
-        return t - self.stall_since >= sim.stall_window_s
+        return t_ns - self.stall_since_ns >= self.stall_window_ns
 
     def _bend_at(self, t: float) -> BendPose:
         win = self.config.bend_window_s

@@ -168,6 +168,48 @@ class TestPointCloud:
         assert_allclose(back.points, cloud.points, atol=1e-9)
 
 
+
+class TestApplyOnColumns:
+    """``apply`` works each coordinate on columns, in one order, with no matrix product."""
+
+    def test_each_coordinate_rounds_in_a_fixed_order(self, rng):
+        for _ in range(20):
+            t = random_transform(rng)
+            pts = rng.normal(scale=3.0, size=(50, 3))
+            want = [
+                [((x * r0 + y * r1) + z * r2) + ti for (r0, r1, r2), ti in zip(t.rotation.tolist(), t.translation.tolist())]
+                for x, y, z in pts.tolist()
+            ]
+            assert t.apply(pts).tolist() == want
+            assert t.coordinates(*pts.T).T.tolist() == want
+            assert t.coordinates(*pts.T, slice(1, 3)).T.tolist() == [row[1:] for row in want]
+
+    def test_a_subset_gets_the_bits_of_the_whole_cloud(self, rng):
+        for n in (1, 2, 7, 1000, 5000):
+            t = random_transform(rng)
+            pts = rng.normal(scale=3.0, size=(n, 3))
+            whole = t.apply(pts)
+            subset = np.sort(rng.choice(n, size=max(n // 3, 1), replace=False))
+            assert t.apply(pts[subset]).tobytes() == whole[subset].tobytes()
+            assert t.apply(pts[::-1]).tobytes() == whole[::-1].tobytes()
+            assert t.apply(pts[-1]).tobytes() == whole[-1].tobytes()
+
+    def test_shapes(self, rng):
+        t = random_transform(rng)
+        assert t.apply(np.zeros(3)).shape == (3,)
+        assert t.apply(np.zeros((0, 3))).shape == (0, 3)
+        assert t.apply([[1.0, 2.0, 3.0]]).shape == (1, 3)
+        empty = transform_points(t, PointCloud.empty(FrameId.ROBOT_BASE))
+        assert empty.points.shape == (0, 3) and empty.frame is FrameId.WORLD
+        with pytest.raises(FrameMismatch):
+            transform_points(t, PointCloud.empty(FrameId.WORLD))
+
+    def test_agrees_with_the_matrix_product_to_rounding(self, rng):
+        t = random_transform(rng)
+        pts = rng.normal(scale=3.0, size=(200, 3))
+        assert_allclose(t.apply(pts), pts @ t.rotation.T + t.translation, rtol=0.0, atol=1e-13)
+
+
 @given(
     angle=st.floats(-np.pi, np.pi, allow_nan=False),
     tx=st.floats(-10.0, 10.0),

@@ -5,7 +5,7 @@ across code changes. It reruns a fixed matrix of shipped scenarios,
 conditions and seeds and compares the sha256 of each trace CSV and each
 announcement file with ``tests/data/golden_digests.txt``. One more episode,
 ``NOISY``, runs with depth noise on, so the noise draws are pinned too. Where
-numpy's OpenBLAS picks its matrix kernel per CPU, one pinned episode is rerun
+numpy's OpenBLAS picks its matrix kernel per CPU, two pinned episodes are rerun
 under two kernels, so a trace that leans on BLAS rounding shows.
 
 Regenerate the file (only on purpose, and say why in CHANGES.md) with:
@@ -106,14 +106,20 @@ def _openblas_picks_kernels_and_cpu_has_avx2() -> bool:
             and re.search(r"\bavx2\b", cpu_flags) is not None)
 
 
-#: runs the pinned canonical crossview seed 0 episode into argv[1], then prints
+#: the pinned crossview seed 0 episodes rerun under each kernel: an upright
+#: one, and the bent chest's, the one shipped cloud whose rotation is not a
+#: permutation, so its products round
+KERNEL_SCENARIOS = ("canonical", "canonical_bend")
+
+#: runs KERNEL_SCENARIOS' crossview seed 0 episodes into argv[1], then prints
 #: the sha256 of 2,000 random 3x3 products, which shows which kernel ran
-_KERNEL_RUN = """
+_KERNEL_RUN = f"""
 import hashlib, sys
 import numpy as np
 from crossnav.harness import load_scenario
 from crossnav.sim import Condition, run_episode
-run_episode(load_scenario("canonical"), Condition.CROSS_VIEW, 0, sys.argv[1])
+for scenario in {KERNEL_SCENARIOS!r}:
+    run_episode(load_scenario(scenario), Condition.CROSS_VIEW, 0, sys.argv[1])
 a, b = np.random.default_rng(0).normal(size=(2, 2000, 3, 3))
 print(hashlib.sha256(b"".join((x @ y).tobytes() for x, y in zip(a, b))).hexdigest())
 """
@@ -123,7 +129,8 @@ print(hashlib.sha256(b"".join((x @ y).tobytes() for x, y in zip(a, b))).hexdiges
                     reason="needs numpy on OpenBLAS DYNAMIC_ARCH and an x86-64 CPU with avx2")
 def test_traces_do_not_depend_on_the_blas_kernel(tmp_path):
     golden = {name: d for name, d in read_golden().items()
-              if name.startswith("canonical_crossview_seed0000")}
+              if name.startswith(tuple(f"{sc}_crossview_seed0000" for sc in KERNEL_SCENARIOS))}
+    assert len(golden) == 4  # each episode's trace and announcements
     src = str(Path(__file__).resolve().parents[1] / "src")
     products = set()
     for kernel in ("Nehalem", "Haswell"):

@@ -5,7 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crossnav.geometry import FrameId, PointCloud
+from crossnav.geometry import (
+    FrameId,
+    FrameMismatch,
+    PointCloud,
+    RigidTransform,
+    compose,
+    optical_to_physical,
+    rot_x,
+    rot_y,
+    rot_z,
+    transform_points,
+)
 from crossnav.perception import (
     FREE,
     INFLATED,
@@ -17,6 +28,10 @@ from crossnav.perception import (
     nonfree_centers,
     passthrough_filter,
 )
+from crossnav.world import CameraIntrinsics, deproject, render_depth
+
+import parent_band
+from test_sim import box, cyl, scene_of
 
 
 def grid(cells, origin=(0.0, 0.0), res=0.05):
@@ -40,24 +55,114 @@ def brute_force_inflate(costmap: Costmap2D, r_inf: float, tol: float = 1e-9) -> 
     return cells
 
 
+#: the mount of a cloud already in the robot base frame
+BASE = RigidTransform.identity(FrameId.ROBOT_BASE)
+
+
 class TestPassthrough:
     def test_keeps_band_inclusive(self):
         pts = np.array([[0, 0, 0.019], [0, 0, 0.02], [0, 0, 0.3], [0, 0, 0.5], [0, 0, 0.501]])
         cloud = PointCloud(pts, FrameId.ROBOT_BASE)
-        kept = passthrough_filter(cloud, 0.02, 0.5)
+        kept = passthrough_filter(cloud, 0.02, 0.5, BASE)
         assert kept.points.shape[0] == 3
         assert kept.points[:, 2].tolist() == [0.02, 0.3, 0.5]
         assert kept.frame is FrameId.ROBOT_BASE
 
     def test_preserves_order(self, rng):
         pts = rng.uniform(-1, 1, size=(200, 3))
-        kept = passthrough_filter(PointCloud(pts, FrameId.ROBOT_BASE), -0.5, 0.5)
+        kept = passthrough_filter(PointCloud(pts, FrameId.ROBOT_BASE), -0.5, 0.5, BASE)
         mask = (pts[:, 2] >= -0.5) & (pts[:, 2] <= 0.5)
         assert np.array_equal(kept.points, pts[mask])
 
     def test_empty_in_empty_out(self):
-        kept = passthrough_filter(PointCloud.empty(FrameId.ROBOT_BASE), 0.0, 1.0)
+        kept = passthrough_filter(PointCloud.empty(FrameId.ROBOT_BASE), 0.0, 1.0, BASE)
         assert len(kept) == 0
+
+
+
+def random_mount(rng, kind):
+    """Robot optical frame -> robot base frame: level, pitched, or pitched and rolled."""
+    pitch = 0.0 if kind == "level" else rng.uniform(-0.6, 0.6)
+    roll = rng.uniform(-0.5, 0.5) if kind == "rolled" else 0.0
+    lateral = 0.0 if kind == "level" else rng.uniform(-0.1, 0.1)
+    xyz = np.array([rng.uniform(-0.2, 0.4), lateral, rng.uniform(0.1, 0.6)])
+    physical = RigidTransform(rot_x(roll) @ rot_y(pitch), xyz, FrameId.PHYSICAL_DOG, FrameId.ROBOT_BASE)
+    return compose(physical, optical_to_physical(FrameId.OPTICAL_DOG))
+
+
+def random_frame(rng, mount, intr):
+    """A depth frame of a camera on ``mount`` facing two to five obstacles on and above the ground."""
+    x, y, heading = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-np.pi, np.pi)
+    base = RigidTransform(rot_z(heading), np.array([x, y, 0.0]), FrameId.ROBOT_BASE, FrameId.WORLD)
+    fwd, left = np.array([np.cos(heading), np.sin(heading)]), np.array([-np.sin(heading), np.cos(heading)])
+    obstacles = []
+    for k in range(int(rng.integers(2, 6))):
+        xy = np.array([x, y]) + rng.uniform(0.6, 3.5) * fwd + rng.uniform(-1.5, 1.5) * left
+        z0 = 0.0 if rng.uniform() < 0.5 else rng.uniform(0.1, 1.2)
+        z = (z0, z0 + rng.uniform(0.1, 1.0))
+        if rng.uniform() < 0.5:
+            obstacles.append(box(xy, rng.uniform(0.05, 0.5, 2), z, oid=f"b{k}"))
+        else:
+            obstacles.append(cyl(xy, rng.uniform(0.05, 0.4), z, oid=f"c{k}"))
+    return render_depth(scene_of(obstacles), compose(base, mount), intr)
+
+
+class TestZFirstBand:
+    """The band worked z first, from the optical cloud, against the whole cloud transformed (parent_band)."""
+
+    INTRINSICS = (
+        CameraIntrinsics.from_fov(160, 120, 60.0, 5.0),  # the shipped robot camera
+        CameraIntrinsics(40.0, 44.0, 18.3, 11.7, 37, 23, 5.0),  # odd size, off-centre
+    )
+
+    @pytest.mark.parametrize("kind", ["level", "pitched", "rolled"])
+    def test_matches_the_whole_cloud_transformed_bitwise(self, kind):
+        rng = np.random.default_rng({"level": 1, "pitched": 2, "rolled": 3}[kind])
+        on_edges = kept = dropped = 0
+        for case in range(40):
+            mount = random_mount(rng, kind)
+            img = random_frame(rng, mount, self.INTRINSICS[case % 2])
+            base_z = transform_points(mount, deproject(img)).points[:, 2]
+            if case % 4 == 0 or base_z.size < 2:
+                z_min, z_max = 0.02, 0.5
+            else:
+                # band edges on points of the cloud, so that some lie exactly on them
+                z_min, z_max = np.sort(rng.choice(base_z, 2, replace=False)).tolist()
+            got = passthrough_filter(deproject(img), z_min, z_max, mount)
+            want = parent_band.band(img, mount, z_min, z_max)
+            assert got.frame is want.frame is FrameId.ROBOT_BASE
+            assert got.points.shape == want.points.shape and got.points.tobytes() == want.points.tobytes()
+            on_edges += int(np.count_nonzero((got.points[:, 2] == z_min) | (got.points[:, 2] == z_max)))
+            kept += len(got)
+            dropped += base_z.size - len(got)
+        assert on_edges > 20 and kept > 1000 and dropped > 1000
+
+    def test_a_level_mount_gives_the_bits_of_the_matrix_product(self):
+        # its rotation is a signed permutation, so every product is exact and
+        # the BLAS product rounds only where the sum does, under any kernel
+        rng = np.random.default_rng(4)
+        for case in range(20):
+            mount = random_mount(rng, "level")
+            img = random_frame(rng, mount, self.INTRINSICS[case % 2])
+            cloud = deproject(img)
+            product = PointCloud(parent_band.apply(mount, cloud.points), FrameId.ROBOT_BASE)
+            want = parent_band.passthrough_filter(product, 0.02, 0.5)
+            assert passthrough_filter(cloud, 0.02, 0.5, mount).points.tobytes() == want.points.tobytes()
+
+    def test_an_empty_cloud_gives_an_empty_band(self):
+        mount = random_mount(np.random.default_rng(5), "rolled")
+        band = passthrough_filter(PointCloud.empty(FrameId.OPTICAL_DOG), 0.02, 0.5, mount)
+        assert band.points.shape == (0, 3) and band.frame is FrameId.ROBOT_BASE
+
+    def test_the_cloud_must_be_in_the_mounts_source_frame(self):
+        mount = random_mount(np.random.default_rng(6), "level")
+        with pytest.raises(FrameMismatch):
+            passthrough_filter(PointCloud.empty(FrameId.ROBOT_BASE), 0.02, 0.5, mount)
+        with pytest.raises(FrameMismatch):
+            passthrough_filter(PointCloud.empty(FrameId.WORLD), 0.02, 0.5, BASE)
+        chest = RigidTransform.identity(FrameId.OPTICAL_HUMAN)
+        with pytest.raises(FrameMismatch):
+            passthrough_filter(PointCloud.empty(FrameId.OPTICAL_HUMAN), 0.02, 0.5, chest)
 
 
 class TestBuildCostmap:

@@ -21,7 +21,7 @@ from crossnav.harness import load_scenario
 from crossnav.human_branch import HumanSafetyParams, detect_hazard
 from crossnav.perception import nonfree_centers
 from crossnav.planner import ApfParams, CommandSource, VelocityCommand
-from crossnav.sentinel import SentinelConfig
+from crossnav.sentinel import RoiSpec, SentinelConfig, default_roi, roi_min_depth
 from crossnav.sim import (
     BendPose,
     CollisionTracker,
@@ -42,6 +42,7 @@ from crossnav.sim import (
     _exec_round,
     _mount,
     _robot_mount,
+    band_scene,
     chest_camera_pose,
     chest_camera_in_hazard_box,
     chest_observation,
@@ -52,6 +53,7 @@ from crossnav.sim import (
     human_follower,
     jitter_scene,
     robot_branch_observation,
+    robot_camera_in_band,
     robot_camera_pose,
     run_episode,
     step,
@@ -779,7 +781,8 @@ class _ScalarTracker:
     """The collision tracker as it was before its pair list: the reference.
 
     Every update tests every obstacle against both agents with
-    ``overlaps_vertical_cylinder``.
+    ``overlaps_vertical_cylinder``. The debounce is compared in whole
+    nanoseconds, as the tracker compares it.
     """
 
     def __init__(self, scene, sim, robot_enabled=True):
@@ -796,9 +799,9 @@ class _ScalarTracker:
         key = (agent, obstacle_id)
         if over and not self._overlap.get(key, False):
             last = self._last_event.get(key)
-            if last is None or now - last >= self.sim.collision_debounce_s:
+            if last is None or round(now * 1e9) - last >= round(self.sim.collision_debounce_s * 1e9):
                 out.append(sim.CollisionEvent(now, agent, obstacle_id, kind))
-                self._last_event[key] = now
+                self._last_event[key] = round(now * 1e9)
         self._overlap[key] = over
 
     def update(self, now, human_xy, robot_xy):
@@ -1788,6 +1791,182 @@ class TestChestSceneReuse:
         # every obstacle kept: the scene itself, whatever came before
         alone = scene_of([lamp])
         assert corridor_scene(alone, np.zeros(3), safety, ahead) is alone
+
+
+
+class TestRobotSceneCull:
+    """The robot branch reads the same band and ROI depth from the scene without what lies above the band."""
+
+    SPEC = PerceptionSpec()
+
+    def random_case(self, rng):
+        """A rig whose camera is in the band and looks level or down, a pose, and obstacles about the band's top."""
+        rig = dataclasses.replace(
+            default_rig(),
+            robot_mount_xyz=(rng.uniform(0.0, 0.3), 0.0, rng.choice([0.35, rng.uniform(0.05, 0.5)])),
+            robot_mount_pitch_rad=rng.choice([0.0, rng.uniform(0.0, 0.35)]),
+        )
+        pose = np.array([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-np.pi, np.pi)])
+        c, s = math.cos(pose[2]), math.sin(pose[2])
+
+        def ahead(fwd, lat):
+            return pose[0] + c * fwd - s * lat, pose[1] + s * fwd + c * lat
+
+        top, slack = self.SPEC.z_band_high_m, sim._CULL_SLACK_M
+        obstacles = []
+        for k in range(int(rng.integers(2, 6))):
+            # bottoms on both sides of the band's top and of the cull's edge, some a few ulps off
+            z0 = float(rng.choice([
+                np.nextafter(top, np.inf), top + 4e-16, top + 1e-12, top + 0.5 * slack, top + slack,
+                np.nextafter(top + slack, np.inf), top + 2.0 * slack, top, np.nextafter(top, -np.inf),
+                rng.uniform(top, 1.5), 0.0,
+            ]))
+            z = (z0, z0 + rng.uniform(0.05, 0.8))
+            xy = ahead(rng.uniform(0.4, 3.0), rng.uniform(-1.2, 1.2))
+            if rng.uniform() < 0.5:
+                obstacles.append(box(xy, rng.uniform(0.1, 0.6, 2), z, oid=f"b{k}"))
+            else:
+                obstacles.append(cyl(xy, rng.uniform(0.1, 0.4), z, oid=f"c{k}"))
+        return scene_of(obstacles), pose, rig
+
+    def test_band_and_roi_depth_are_bitwise_the_same(self):
+        # with the cull's slack set to 0, 11 of these 150 cases differ
+        rng = np.random.default_rng(21)
+        culled = band_points = roi_hits = 0
+        for case in range(150):
+            scene, pose, rig = self.random_case(rng)
+            roi = default_roi(rig.robot_intrinsics)
+            assert robot_camera_in_band(rig, self.SPEC, roi)
+            kept = band_scene(scene, self.SPEC)
+            culled += len(kept.obstacles) < len(scene.obstacles)
+            img, band, costmap = robot_branch_observation(scene, pose, rig, self.SPEC)
+            kept_img, kept_band, kept_costmap = robot_branch_observation(kept, pose, rig, self.SPEC)
+            assert kept_band.points.tobytes() == band.points.tobytes(), f"case {case}"
+            assert kept_costmap.cells.tobytes() == costmap.cells.tobytes(), f"case {case}"
+            depth = roi_min_depth(img, roi)
+            assert roi_min_depth(kept_img, roi) == depth, f"case {case}"
+            band_points += len(band)
+            roi_hits += depth is not None
+        # neither side of the comparison may be trivial
+        assert culled >= 75 and band_points > 10_000 and roi_hits >= 15
+
+    def test_every_obstacle_kept_gives_the_scene_itself(self):
+        scene = scene_of([box((1.5, 0.0), (0.2, 0.3)), cyl((2.0, 0.0), 0.2, (0.5 + sim._CULL_SLACK_M, 1.0))])
+        assert band_scene(scene, self.SPEC) is scene
+
+    def test_only_obstacles_wholly_above_the_band_and_its_slack_are_dropped(self):
+        top = self.SPEC.z_band_high_m + sim._CULL_SLACK_M
+        obstacles = [
+            box((1.5, 0.0), (0.2, 0.3), (0.0, 0.3), oid="bin"),
+            cyl((2.0, 0.5), 0.2, (top, 1.2), oid="edge"),
+            cyl((2.0, -0.5), 0.2, (float(np.nextafter(top, np.inf)), 1.2), oid="lamp"),
+            box((3.0, 0.0), (0.2, 0.2), (1.2, 1.6), oid="sign"),
+        ]
+        kept = band_scene(scene_of(obstacles), self.SPEC)
+        assert [ob.obstacle_id for ob in kept.obstacles] == ["bin", "edge"]
+
+    def test_a_rising_roi_ray_reads_what_the_cull_drops(self):
+        rig = dataclasses.replace(default_rig(), robot_mount_pitch_rad=-0.3)
+        roi = default_roi(rig.robot_intrinsics)
+        scene = scene_of([box((1.5, 0.0), (0.3, 0.6), (0.6, 1.0), oid="shelf")])
+        img, _, _ = robot_branch_observation(scene, np.zeros(3), rig, self.SPEC)
+        kept_img, _, _ = robot_branch_observation(band_scene(scene, self.SPEC), np.zeros(3), rig, self.SPEC)
+        assert roi_min_depth(img, roi) is not None and roi_min_depth(kept_img, roi) is None
+
+    def test_a_camera_over_the_band_sees_in_band_points_behind_what_the_cull_drops(self):
+        rig = dataclasses.replace(default_rig(), robot_mount_xyz=(0.0, 0.0, 0.9), robot_mount_pitch_rad=0.5)
+        slab = box((1.0, 0.0), (0.2, 0.6), (0.55, 0.7), oid="slab")
+        crate = box((2.0, 0.0), (0.4, 0.6), (0.0, 0.45), oid="crate")
+        scene = scene_of([slab, crate])
+        _, band, _ = robot_branch_observation(scene, np.zeros(3), rig, self.SPEC)
+        _, kept_band, _ = robot_branch_observation(band_scene(scene, self.SPEC), np.zeros(3), rig, self.SPEC)
+        assert len(kept_band) > len(band)
+
+
+@pytest.fixture
+def robot_scenes(monkeypatch):
+    """The scenes that robot_branch_observation is called with, in order."""
+    seen = []
+    original = sim.robot_branch_observation
+
+    def recording(scene, *args, **kwargs):
+        seen.append(scene)
+        return original(scene, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "robot_branch_observation", recording)
+    return seen
+
+
+class TestPlannerTick:
+    """The engine culls the robot scene once, and only where the cull is exact: camera in the band, no ROI ray rising, no noise."""
+
+    def episode(self, tmp_path, sentinel=SentinelConfig(), **kw):
+        config = dataclasses.replace(config_of(CULL_SCENE, **kw), sentinel=sentinel)
+        return _Episode(config, Condition.CROSS_VIEW, 0, tmp_path, None, None)
+
+    def test_a_noise_free_tick_renders_the_culled_scene(self, tmp_path, robot_scenes):
+        ep = self.episode(tmp_path)
+        for k in range(2):
+            ep._planner_tick(k / 10.0)
+        assert [ob.obstacle_id for ob in robot_scenes[0].obstacles] == ["bin"]
+        assert robot_scenes[1] is robot_scenes[0] is ep.robot_scene
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"sim": {"depth_sigma_m": 0.02}},
+            {"rig": dataclasses.replace(default_rig(), robot_mount_xyz=(0.25, 0.0, 0.6))},
+            {"rig": dataclasses.replace(default_rig(), robot_mount_xyz=(0.25, 0.0, 0.01))},
+            {"rig": dataclasses.replace(default_rig(), robot_mount_pitch_rad=-0.05)},
+            {"sentinel": SentinelConfig(roi=RoiSpec(48, 112, 10, 50))},
+            {"sentinel": SentinelConfig(roi=RoiSpec(48, 112, 59, 96))},
+        ],
+        ids=["noise", "camera_over_band", "camera_under_band", "pitched_up", "roi_above_horizon", "roi_one_row_up"],
+    )
+    def test_the_full_scene_is_rendered_otherwise(self, tmp_path, robot_scenes, kw):
+        ep = self.episode(tmp_path, **kw)
+        ep._planner_tick(0.0)
+        assert len(robot_scenes) == 1 and robot_scenes[0] is ep.scene
+
+    def test_the_cull_changes_no_trace_byte(self, tmp_path, monkeypatch):
+        config = load_scenario("hanging_lamp")
+        culled = run_episode(config, Condition.CROSS_VIEW, 0, tmp_path / "culled")
+        monkeypatch.setattr(sim, "band_scene", lambda scene, spec: scene)
+        full = run_episode(config, Condition.CROSS_VIEW, 0, tmp_path / "full")
+        for suffix in ("", ".announcements.txt"):
+            paths = [Path(r.trace_path) for r in (culled, full)]
+            if suffix:
+                paths = [p.with_suffix(suffix) for p in paths]
+            assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestIntervalsInNanoseconds:
+    """The collision debounce and the stall window compare tick times in whole nanoseconds."""
+
+    def test_a_recontact_exactly_one_debounce_after_an_event_is_a_new_event(self):
+        t0, t1 = (sim._tick_ns(k, 50.0) * 1e-9 for k in (71, 121))
+        assert (round(t0, 9), t1) == (1.42, 2.42) and t1 - t0 < 1.0  # as floats, 0.9999999999999998 s apart
+        tracker = CollisionTracker(scene_of([box((1.0, 0.0), (0.2, 0.2), oid="chair")]), SimParams())
+        chair, away, robot = (1.0, 0.0), (-1.5, 1.5), (4.0, -1.5)
+        assert [ev.time for ev in tracker.update(t0, chair, robot)] == [t0]
+        assert tracker.update(sim._tick_ns(80, 50.0) * 1e-9, away, robot) == []
+        assert [ev.time for ev in tracker.update(t1, chair, robot)] == [t1]
+        # one tick inside the window is still the same contact
+        tracker = CollisionTracker(scene_of([box((1.0, 0.0), (0.2, 0.2), oid="chair")]), SimParams())
+        tracker.update(t0, chair, robot)
+        tracker.update(sim._tick_ns(80, 50.0) * 1e-9, away, robot)
+        assert tracker.update(sim._tick_ns(120, 50.0) * 1e-9, chair, robot) == []
+
+    def test_a_stall_of_exactly_the_window_ends_the_episode(self, tmp_path):
+        # tick times 2 s apart whose float difference reads below 2 s
+        k = next(k for k in range(251, 3000) if sim._tick_ns(k + 100, 50.0) * 1e-9 - sim._tick_ns(k, 50.0) * 1e-9 < 2.0)
+        ep = _Episode(config_of(EMPTY), Condition.SINGLE_VIEW, 0, tmp_path, None, None)
+        ep.executed_norm = 0.0
+        stalled = []
+        for j in range(k, k + 101):
+            t_ns = sim._tick_ns(j, 50.0)
+            stalled.append(ep._stalled(t_ns * 1e-9, t_ns))
+        assert not any(stalled[:-1]) and stalled[-1]
 
 
 class TestNoiseStreams:
