@@ -168,7 +168,6 @@ class TestPointCloud:
         assert_allclose(back.points, cloud.points, atol=1e-9)
 
 
-
 class TestApplyOnColumns:
     """``apply`` works each coordinate on columns, in one order, with no matrix product."""
 

@@ -79,7 +79,6 @@ class TestPassthrough:
         assert len(kept) == 0
 
 
-
 def random_mount(rng, kind):
     """Robot optical frame -> robot base frame: level, pitched, or pitched and rolled."""
     pitch = 0.0 if kind == "level" else rng.uniform(-0.6, 0.6)

@@ -1793,7 +1793,6 @@ class TestChestSceneReuse:
         assert corridor_scene(alone, np.zeros(3), safety, ahead) is alone
 
 
-
 class TestRobotSceneCull:
     """The robot branch reads the same band and ROI depth from the scene without what lies above the band."""
 
