@@ -16,15 +16,14 @@ as its return box (``DepthImage.box``), and ``deproject`` scans only the box.
 A frame that casts nothing has the empty box and shares one read-only all-NaN
 depth array with every such frame of its camera.
 
-A frame does only per-frame work. Each obstacle computes its bounds and
-bounding sphere once, on first use. Before its window is sought, an obstacle
-whose sphere lies wholly past one of five planes through the camera centre
-is skipped: the camera plane and the planes of columns -2 and W + 1 and rows
--2 and H + 1, past which the window would be None anyway. Each world ray
-component is built at the shape it varies over, one row, one column or the
-whole window; on a camera with no pitch x and y vary by column and z by row.
-A term is left out only when its coefficient is 0.0 and the constant is
-nonzero or +0.0, so that every ray keeps the bits of the full sum.
+A frame does only per-frame work. Each obstacle computes its bounds once, on
+first use. An obstacle whose bounds lie beyond the reach of every ray is
+skipped; every other obstacle's window is sought, and it is None for a box
+wholly behind the camera or outside the image. Each world ray component is
+built at the shape it varies over, one row, one column or the whole window;
+on a camera with no pitch x and y vary by column and z by row. A term is
+left out only when its coefficient is 0.0 and the constant is nonzero or
++0.0, so that every ray keeps the bits of the full sum.
 """
 
 from __future__ import annotations
@@ -102,15 +101,6 @@ class Obstacle:
         z0, z1 = float(self.z_min), float(self.z_max)
         return (cx - hx, cy - hy, z0), (cx + hx, cy + hy, z1)
 
-    @functools.cached_property
-    def bounding_sphere(self) -> Tuple[Tuple[float, float, float], float]:
-        """(centre, radius) of the sphere through the corners of ``bounds``, as Python floats."""
-        lo, hi = self.bounds
-        return (
-            tuple(0.5 * (l + h) for l, h in zip(lo, hi)),
-            0.5 * math.sqrt(sum((h - l) ** 2 for l, h in zip(lo, hi))),
-        )
-
     @property
     def circumradius(self) -> float:
         """Radius of the smallest circle about ``center`` that holds the footprint."""
@@ -163,6 +153,8 @@ class Scene:
             raise ValueError("corridor bounds are empty")
         if np.any(self.goal < lo) or np.any(self.goal > hi):
             raise ValueError("goal lies outside corridor bounds")
+        if not np.all((lo <= self.start_robot[:2]) & (self.start_robot[:2] <= hi)):  # NaN too
+            raise ValueError(f"start pose {self.start_robot.tolist()} lies outside corridor bounds")
         self.check_unique_ids()
         for ob in self.obstacles:
             if ob.kind is ObstacleKind.OVERHEAD and ob.z_min <= robot_clearance_m:
@@ -456,67 +448,6 @@ def _pixel_window(lo, hi, origin, r, intr: CameraIntrinsics):
     return slice(r0, r1 + 1), slice(c0, c1 + 1)
 
 
-# meters by which an obstacle's bounding sphere must clear a plane of the view
-# cone to be culled; far above the rounding of the sphere and of the corners
-# that _pixel_window projects, so the cull only drops windows that are None
-_CONE_SLACK_M = 1e-6
-
-
-def _cone_normals(intr: CameraIntrinsics, u_low: float, u_high: float, v_low: float, v_high: float):
-    """Unit outward normals, in the optical frame, of five planes through the camera centre.
-
-    The camera plane (outward: q_z < 0), then the planes of the pixel
-    columns u_low and u_high and the rows v_low and v_high. The plane of
-    column u holds the optical points with fx q_x + (cx - u) q_z = 0, so in
-    front of the camera its outer side is u < u_low, or u > u_high; rows
-    likewise with fy, cy and q_y.
-    """
-    normals = [(0.0, 0.0, -1.0)]
-    for axis, f, c, low, high in ((0, intr.fx, intr.cx, u_low, u_high), (1, intr.fy, intr.cy, v_low, v_high)):
-        for sign, edge in ((-1.0, low), (1.0, high)):
-            n = [0.0, 0.0, sign * (c - edge)]
-            n[axis] = sign * f
-            norm = math.hypot(n[axis], n[2])
-            normals.append((n[0] / norm, n[1] / norm, n[2] / norm))
-    return tuple(normals)
-
-
-@functools.lru_cache(maxsize=8)
-def _view_cone(intr: CameraIntrinsics):
-    """The planes past which ``_pixel_window`` gives no window: columns -2 and W + 1, rows -2 and H + 1.
-
-    ``_pixel_span`` clips the bounds there and pads them by one pixel, so a
-    span wholly at u <= -2 or u >= W + 1 (and so for v) is empty. A box in
-    front of the camera and wholly past one of these planes projects past
-    it. A box across the camera plane and wholly past it has every section
-    point with the camera plane strictly past it too, so its window is not
-    opened towards the image on that side.
-    """
-    return _cone_normals(intr, -2.0, intr.width + 1.0, -2.0, intr.height + 1.0)
-
-
-def _outside_cone(sphere, origin, r, normals) -> bool:
-    """Whether a bounding sphere (centre, radius) lies wholly past one of the planes, by _CONE_SLACK_M.
-
-    ``normals`` are optical-frame plane normals through the camera centre,
-    as ``_view_cone`` gives them; ``origin`` and ``r`` are the camera's
-    position and rotation as Python floats. The centre goes into the
-    optical frame component by component, as in ``_pixel_window``.
-    """
-    (sx, sy, sz), radius = sphere
-    ox, oy, oz = origin
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r
-    dx, dy, dz = sx - ox, sy - oy, sz - oz
-    qx = dx * r00 + dy * r10 + dz * r20
-    qy = dx * r01 + dy * r11 + dz * r21
-    qz = dx * r02 + dy * r12 + dz * r22
-    clear = radius + _CONE_SLACK_M
-    for nx, ny, nz in normals:
-        if nx * qx + ny * qy + nz * qz > clear:
-            return True
-    return False
-
-
 def render_depth(
     scene: Scene, camera_pose_world: RigidTransform, intr: CameraIntrinsics
 ) -> DepthImage:
@@ -534,11 +465,8 @@ def render_depth(
     any window, and the per-pixel minimum is order-free, so the image is
     bitwise that of casting every pixel against every obstacle.
 
-    Three shortcuts keep that per frame work only. Each obstacle's bounds
-    and bounding sphere are computed once per obstacle (``Obstacle.bounds``,
-    ``Obstacle.bounding_sphere``). An obstacle whose sphere lies wholly past
-    one of the view-cone planes of ``_view_cone`` is skipped before its
-    window is sought, since that window would be None. And each world ray
+    Two shortcuts keep that per frame work only. Each obstacle's bounds are
+    computed once per obstacle (``Obstacle.bounds``). And each world ray
     component is built at the shape it varies over (``_ray_component``): on
     a camera with no pitch, x and y per column and z per row. A term is
     dropped only when its coefficient is 0.0 and the constant is nonzero or
@@ -565,7 +493,6 @@ def render_depth(
     corner_y = max(abs(-intr.cy / intr.fy), abs((intr.height - intr.cy) / intr.fy))
     reach = intr.max_range * math.sqrt(1.0 + corner_x**2 + corner_y**2)
 
-    cone = None  # the view cone, looked up once an obstacle is within reach
     cast = []  # (obstacle, lo, hi, window)
     for ob in scene.obstacles:
         lo, hi = ob.bounds
@@ -577,10 +504,6 @@ def render_depth(
             g = max(l - o, o - h, 0.0)
             gap += g * g
         if math.sqrt(gap) > reach + 1e-9:
-            continue
-        if cone is None:
-            cone = _view_cone(intr)
-        if _outside_cone(ob.bounding_sphere, origin, r, cone):
             continue
         window = _pixel_window(lo, hi, origin, r, intr)
         if window is not None:

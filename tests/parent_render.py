@@ -3,10 +3,10 @@
 It is the reference of ``tests/test_world.py::TestRaysAtTheirShape``.
 ``render_depth``, its casters ``_raycast_box`` and ``_raycast_cylinder`` and
 ``_bounds`` are kept verbatim, names included: every ray component is built
-over the whole window, every obstacle's bounds are found per frame, and no
-view-cone cull runs before ``_pixel_window``. The windows themselves and the
-ray axes are shared with ``crossnav.world``, whose ``_pixel_window`` is held
-to the array code by ``tests/parent_windows.py``. Nothing else uses them.
+over the whole window, and every obstacle's bounds are found per frame. The
+windows themselves and the ray axes are shared with ``crossnav.world``, whose
+``_pixel_window`` is held to the array code by ``tests/parent_windows.py``.
+Nothing else uses them.
 """
 
 import math

@@ -219,6 +219,16 @@ class TestSchema:
         with pytest.raises(ValidationError):
             build_config(raw)
 
+    def test_start_pose_outside_the_corridor_is_refused(self, tmp_path, capsys):
+        raw = minimal_raw()
+        raw["scene"]["start_robot_pose"] = [-3.0, 0.0, 0.0]
+        with pytest.raises(ValidationError, match=r"^scene: start pose \[-3\.0, 0\.0, 0\.0\] lies outside corridor"):
+            build_config(raw)
+        path = tmp_path / "start_outside.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["check", "--scenario", str(path)]) == 2
+        assert "start pose" in capsys.readouterr().err
+
     def test_repeated_obstacle_ids_are_refused(self, tmp_path, capsys):
         raw = minimal_raw()
         cab = {"shape": "box", "center_m": [1.0, 1.0], "half_extents_m": [0.3, 0.3], "z_span_m": [0.0, 0.9]}

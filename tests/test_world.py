@@ -27,14 +27,11 @@ from crossnav.world import (
     ObstacleKind,
     ObstacleShape,
     Scene,
-    _cone_normals,
-    _outside_cone,
     _pixel_window,
     _ray_axes,
     _ray_component,
     _raycast_box,
     _raycast_cylinder,
-    _view_cone,
     apply_depth_noise,
     deproject,
     render_depth,
@@ -126,6 +123,15 @@ class TestScene:
         object.__setattr__(s, "goal", np.array([99.0, 0.0]))
         with pytest.raises(ValueError, match="goal"):
             s.validate(robot_clearance_m=0.5)
+
+    @pytest.mark.parametrize("start", [[-10.5, 0.0, 0.0], [0.0, 10.5, 0.0], [float("nan"), 0.0, 0.0]])
+    def test_validate_start_in_corridor(self, start):
+        s = scene_of()
+        object.__setattr__(s, "start_robot", np.array(start))
+        with pytest.raises(ValueError, match=r"^start pose \[.*\] lies outside corridor bounds$"):
+            s.validate(robot_clearance_m=0.5)
+        object.__setattr__(s, "start_robot", np.array([-10.0, 10.0, 0.0]))  # on the boundary
+        s.validate(robot_clearance_m=0.5)
 
     def test_validate_body_sizes_are_positive_and_not_nan(self):
         for value in (-0.18, float("nan")):
@@ -518,32 +524,14 @@ class TestWindowsHoldEveryHit:
         assert straddling > 400
 
 
-class TestWindowsMatchTheArrayCode:
-    """The float windows equal those of the numpy code they replaced (``tests/parent_windows.py``)."""
-
-    def test_same_windows_as_the_array_code(self):
-        rng = np.random.default_rng(20261020)
-        straddling = 0
-        for trial in range(2400):
-            ob, pose, intr = _lone_obstacle(rng)
-            lo, hi = ob.bounds
-            want = parent_windows._pixel_windows(
-                np.array([lo]), np.array([hi]), pose.translation, pose.rotation, intr
-            )[0]
-            assert _window(ob, pose, intr) == want, f"trial {trial}: {ob}"
-            qz = (_corners(lo, hi) - pose.translation) @ pose.rotation[:, 2]
-            straddling += bool(qz.min() <= 0.0 < qz.max())
-        assert straddling > 1000
-
-
 def _edge_obstacle(rng):
-    """A small random (obstacle, camera pose, intrinsics) near a side of the view cone.
+    """A small random (obstacle, camera pose, intrinsics) near an edge of the image.
 
     The obstacle's centre projects to a pixel within a few pixels of an image
     edge, at a depth that is sometimes around or behind the camera plane, so
-    the view-cone planes and the window bounds are both tight. Some are
-    specks of at most 10 micrometres across a cone plane, which a cull with
-    a millimetre less slack would drop with their windows.
+    the window bounds are tight. Some are specks of at most 10 micrometres
+    within a hundredth of a pixel of column -2 or W + 1 or row -2 or H + 1,
+    where ``_pixel_span`` clips and pads a window to nothing.
     """
     width, height = int(rng.integers(8, 41)), int(rng.integers(6, 31))
     f = (width / 2.0) / np.tan(np.radians(rng.uniform(20.0, 150.0)) / 2.0)
@@ -555,7 +543,7 @@ def _edge_obstacle(rng):
             for n in (width, height))
     depth = rng.uniform(0.5, 4.0) if rng.uniform() < 0.8 else rng.uniform(-0.3, 0.3)
     size = rng.uniform(0.002, 0.2)
-    if rng.uniform() < 0.3:  # a speck within a hundredth of a pixel of a cone plane
+    if rng.uniform() < 0.3:  # a speck within a hundredth of a pixel of the clipping bound
         u, v = rng.choice([-2.0, width + 1.0]), rng.uniform(0.0, height)
         if rng.uniform() < 0.5:
             u, v = rng.uniform(0.0, width), rng.choice([-2.0, height + 1.0])
@@ -570,50 +558,29 @@ def _edge_obstacle(rng):
     return ob, pose, intr
 
 
-def _dropped(ob, pose, normals):
-    """Whether the view-cone cull of ``render_depth`` drops the obstacle, given the cone's optical normals."""
-    return _outside_cone(ob.bounding_sphere, pose.translation.tolist(), pose.rotation.tolist(), normals)
+class TestWindowsMatchTheArrayCode:
+    """The float windows equal those of the numpy code they replaced (``tests/parent_windows.py``)."""
 
-
-class TestViewConeCull:
-    """An obstacle that the view-cone cull drops has no pixel window, so dropping it changes no bit."""
-
-    def test_every_dropped_obstacle_has_no_window(self):
-        rng = np.random.default_rng(20261022)
-        by_plane = [0] * 5
-        dropped = kept_with_window = inward_misses = 0
-        cases = [_edge_obstacle(rng) for _ in range(1500)] + [_lone_obstacle(rng) for _ in range(500)]
-        for _ in range(100):
-            scene, pose, intr = _random_view(rng)
-            cases += [(ob, pose, intr) for ob in scene.obstacles]
+    def test_same_windows_as_the_array_code(self):
+        rng, edge_rng = np.random.default_rng(20261020), np.random.default_rng(20261022)
+        cases = [_lone_obstacle(rng) for _ in range(2400)] + [_edge_obstacle(edge_rng) for _ in range(1500)]
+        straddling = 0
+        edges = {"none": 0, "window": 0, "speck, none": 0, "speck, window": 0}
         for trial, (ob, pose, intr) in enumerate(cases):
+            lo, hi = ob.bounds
+            want = parent_windows._pixel_windows(
+                np.array([lo]), np.array([hi]), pose.translation, pose.rotation, intr
+            )[0]
             window = _window(ob, pose, intr)
-            cone = _view_cone(intr)
-            if _dropped(ob, pose, cone):
-                assert window is None, f"case {trial}: {ob} dropped with window {window}"
-                dropped += 1
-                for k, normal in enumerate(cone):
-                    by_plane[k] += _dropped(ob, pose, (normal,))
+            assert window == want, f"trial {trial}: {ob}"
+            if trial < 2400:
+                qz = (_corners(lo, hi) - pose.translation) @ pose.rotation[:, 2]
+                straddling += bool(qz.min() <= 0.0 < qz.max())
             else:
-                kept_with_window += window is not None
-            # each plane one pixel further in would drop obstacles that have a window
-            inward = _cone_normals(intr, -1.0, float(intr.width), -1.0, float(intr.height))
-            inward_misses += window is not None and _dropped(ob, pose, inward)
-        assert dropped > 500 and kept_with_window > 500
-        assert min(by_plane) > 20, by_plane  # the camera plane, then columns -2, W + 1, rows -2, H + 1
-        assert inward_misses > 20
-
-    def test_the_planes_are_unit_and_outward(self):
-        intr = CameraIntrinsics(50.0, 40.0, 20.5, 11.0, 40, 24, 5.0)
-        normals = _view_cone(intr)
-        assert all(math.isclose(math.hypot(*n), 1.0, rel_tol=1e-15) for n in normals)
-        # a point just past each plane, in front of the camera, and one just inside it
-        for n, (u, v) in zip(normals[1:], [(-2.0, 11.0), (41.0, 11.0), (20.5, -2.0), (20.5, 25.0)]):
-            q = np.array([(u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy, 1.0])
-            assert abs(np.dot(n, q)) < 1e-12  # on the plane
-            inward = np.array([(intr.cx - u) / intr.fx, (intr.cy - v) / intr.fy, 0.0]) * 1e-3
-            assert np.dot(n, q - inward) > 0.0 > np.dot(n, q + inward)
-        assert normals[0] == (0.0, 0.0, -1.0)
+                speck = "speck, " if max(h - l for l, h in zip(lo, hi)) < 1e-4 else ""
+                edges[speck + ("none" if window is None else "window")] += 1
+        assert straddling > 1000
+        assert min(edges.values()) > 50, edges
 
 
 class TestRaysAtTheirShape:
@@ -691,6 +658,23 @@ class TestRaysAtTheirShape:
                 frames["return" if got.box[0] < got.box[1] else "empty"] += 1
                 frames["on face"] += on_face
         assert frames["return"] > 200 and frames["on face"] > 200 and frames["empty"] > 5, frames
+
+    def test_renders_at_the_image_edges_match_the_2d_ray_oracle(self):
+        rng = np.random.default_rng(20261024)
+        frames = {"hit": 0, "window, no hit": 0, "no window": 0}
+        for trial in range(600):
+            ob, pose, intr = _edge_obstacle(rng)
+            scene = scene_of(ob)
+            got = render_depth(scene, pose, intr)
+            want = parent_render.render_depth(scene, pose, intr)
+            assert got.box == want.box, f"trial {trial}: {ob}"
+            assert got.depth.tobytes() == want.depth.tobytes(), f"trial {trial}: {ob}"
+            assert got.depth.tobytes() == _full_image_cast(scene, pose, intr).tobytes(), f"trial {trial}: {ob}"
+            if np.isfinite(got.depth).any():
+                frames["hit"] += 1
+            else:
+                frames["no window" if got.box[0] == got.box[1] else "window, no hit"] += 1
+        assert min(frames.values()) > 50, frames
 
 
 def _caster_case(rng):
